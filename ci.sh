@@ -72,6 +72,17 @@ rm -f target/ci-suite.jsonl
 $SUITE $SUITE_FLAGS --jobs 4 --manifest target/ci-suite.jsonl --check \
     > target/ci-suite.out
 
+echo "==> small-scale suite byte-identity (golden stdout)"
+# Every benchmark's stream at Scale::Small, graph kernels included, end
+# to end: stdout must match tests/golden/suite_small.out byte for byte.
+# The golden file predates per-vertex graph generation (12807 bytes,
+# FNV-1a 0x6a9cfad3e29d458f); regenerate it only for an intended change
+# to the streams or the tables.
+rm -f target/ci-small.jsonl
+$SUITE --seed 42 --scale small --warmup 10000 --instructions 50000 --jobs 2 \
+    --manifest target/ci-small.jsonl --check > target/ci-small.out
+diff tests/golden/suite_small.out target/ci-small.out
+
 echo "==> streaming smoke (--progress, telemetry.jsonl, trace.json)"
 # The same sweep with the sampler attached: live progress on stderr at
 # a 50 ms cadence, a checksummed atc-telemetry-stream-v1 file with at

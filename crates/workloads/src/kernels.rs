@@ -1,19 +1,21 @@
 //! Ligra-style graph kernels emitting instruction streams.
 //!
 //! Each kernel executes its real traversal loop over a synthetic
-//! power-law [`CsrGraph`] and narrates it as instructions: sequential
-//! loads over the CSR arrays, *irregular* loads/stores to per-vertex
-//! property arrays indexed by edge targets, and per-benchmark amounts of
-//! ALU work. The irregular property accesses are what miss the STLB and
-//! produce the paper's replay loads; the ALU density controls where each
-//! benchmark lands in Table II's MPKI bands.
+//! power-law graph, drawn one vertex at a time by a [`GraphStream`] as
+//! the kernel's cursor reaches it, and narrates it as instructions:
+//! sequential loads over the (simulated) CSR arrays, *irregular*
+//! loads/stores to per-vertex property arrays indexed by edge targets,
+//! and per-benchmark amounts of ALU work. The irregular property
+//! accesses are what miss the STLB and produce the paper's replay loads;
+//! the ALU density controls where each benchmark lands in Table II's
+//! MPKI bands.
 
 use atc_types::rng::SimRng;
 use std::collections::VecDeque;
 
 use atc_types::VirtAddr;
 
-use crate::graph::CsrGraph;
+use crate::graph::GraphStream;
 use crate::{Instr, Scale, Workload};
 
 /// CSR offsets array base (8 B entries).
@@ -38,45 +40,45 @@ fn a_prop_b(v: usize) -> VirtAddr {
     VirtAddr::new(PROP_B_BASE + v as u64 * 8)
 }
 
-/// Shared kernel chassis: the graph, a vertex cursor, an instruction
+/// Shared kernel chassis: the graph's vertex cursor, an instruction
 /// buffer, and a seeded RNG.
 #[derive(Debug)]
 struct Chassis {
-    graph: CsrGraph,
-    v: usize,
+    graph: GraphStream,
     buf: VecDeque<Instr>,
     rng: SimRng,
 }
 
 impl Chassis {
     fn new(scale: Scale, seed: u64) -> Self {
-        let (n, d) = CsrGraph::dims_for(scale);
+        let (n, d) = GraphStream::dims_for(scale);
         Chassis {
-            graph: CsrGraph::synth(n, d, seed),
-            v: 0,
+            graph: GraphStream::new(n, d, seed),
             buf: VecDeque::with_capacity(256),
             rng: SimRng::seed_from_u64(seed ^ 0xA5A5_5A5A),
         }
     }
 }
 
+/// A kernel type over a [`Chassis`], plus any extra fields, each built
+/// from the chassis graph by the function after its `=`.
 macro_rules! graph_kernel {
-    ($(#[$meta:meta])* $name:ident, $bench:literal, $ip:literal, $refill:item) => {
+    (
+        $(#[$meta:meta])* $name:ident $({ $($field:ident: $fty:ty = $init:path),* })?,
+        $bench:literal, $ip:literal, $refill:item
+    ) => {
         $(#[$meta])*
         #[derive(Debug)]
         pub struct $name {
             ch: Chassis,
+            $($($field: $fty,)*)?
         }
 
         impl $name {
             /// Build the kernel over a fresh synthetic graph.
             pub fn new(scale: Scale, seed: u64) -> Self {
-                $name { ch: Chassis::new(scale, seed) }
-            }
-
-            /// The underlying graph (diagnostics).
-            pub fn graph(&self) -> &CsrGraph {
-                &self.ch.graph
+                let ch = Chassis::new(scale, seed);
+                $name { $($($field: $init(&ch.graph),)*)? ch }
             }
 
             const IP: u64 = $ip;
@@ -122,15 +124,11 @@ graph_kernel!(
     0x0001_0000,
     fn refill(&mut self) {
         let ch = &mut self.ch;
-        let v = {
-            let v = ch.v;
-            ch.v = (ch.v + 1) % ch.graph.num_vertices();
-            v
-        };
+        let (v, e0) = ch.graph.next_vertex();
         let ip = Self::IP;
         ch.buf.push_back(Instr::load(ip, a_offsets(v)));
-        for e in ch.graph.edge_range(v) {
-            let t = ch.graph.target(e);
+        for (e, &t) in (e0..).zip(ch.graph.targets()) {
+            let t = t as usize;
             ch.buf.push_back(Instr::load(ip + 1, a_targets(e)));
             ch.buf.push_back(Instr::load_dep(ip + 2, a_prop_a(t)));
             ch.buf.push_back(Instr::alu(ip + 4));
@@ -148,16 +146,12 @@ graph_kernel!(
     0x0002_0000,
     fn refill(&mut self) {
         let ch = &mut self.ch;
-        let v = {
-            let v = ch.v;
-            ch.v = (ch.v + 1) % ch.graph.num_vertices();
-            v
-        };
+        let (v, e0) = ch.graph.next_vertex();
         let ip = Self::IP;
         ch.buf.push_back(Instr::load(ip, a_offsets(v)));
         ch.buf.push_back(Instr::load(ip + 6, a_prop_a(v)));
-        for e in ch.graph.edge_range(v) {
-            let t = ch.graph.target(e);
+        for (e, &t) in (e0..).zip(ch.graph.targets()) {
+            let t = t as usize;
             ch.buf.push_back(Instr::load(ip + 1, a_targets(e)));
             ch.buf.push_back(Instr::load_dep(ip + 2, a_prop_a(t)));
             ch.buf.push_back(Instr::alu(ip + 4));
@@ -179,11 +173,7 @@ graph_kernel!(
     0x0003_0000,
     fn refill(&mut self) {
         let ch = &mut self.ch;
-        let v = {
-            let v = ch.v;
-            ch.v = (ch.v + 1) % ch.graph.num_vertices();
-            v
-        };
+        let (v, e0) = ch.graph.next_vertex();
         let ip = Self::IP;
         // Frontier membership check (sequential bitmap load).
         ch.buf.push_back(Instr::load(ip, a_prop_b(v / 64)));
@@ -192,8 +182,8 @@ graph_kernel!(
             return; // not in frontier this pass
         }
         ch.buf.push_back(Instr::load(ip + 8, a_offsets(v)));
-        for e in ch.graph.edge_range(v) {
-            let t = ch.graph.target(e);
+        for (e, &t) in (e0..).zip(ch.graph.targets()) {
+            let t = t as usize;
             ch.buf.push_back(Instr::load(ip + 1, a_targets(e)));
             ch.buf.push_back(Instr::load_dep(ip + 2, a_prop_a(t)));
             ch.buf.push_back(Instr::alu(ip + 4));
@@ -215,16 +205,12 @@ graph_kernel!(
     0x0004_0000,
     fn refill(&mut self) {
         let ch = &mut self.ch;
-        let v = {
-            let v = ch.v;
-            ch.v = (ch.v + 1) % ch.graph.num_vertices();
-            v
-        };
+        let (v, e0) = ch.graph.next_vertex();
         let ip = Self::IP;
         ch.buf.push_back(Instr::load(ip, a_offsets(v)));
         ch.buf.push_back(Instr::load(ip + 6, a_prop_b(v)));
-        for e in ch.graph.edge_range(v) {
-            let t = ch.graph.target(e);
+        for (e, &t) in (e0..).zip(ch.graph.targets()) {
+            let t = t as usize;
             ch.buf.push_back(Instr::load(ip + 1, a_targets(e)));
             ch.buf.push_back(Instr::load_dep(ip + 2, a_prop_a(t)));
             ch.buf.push_back(Instr::alu(ip + 4));
@@ -246,17 +232,13 @@ graph_kernel!(
     0x0005_0000,
     fn refill(&mut self) {
         let ch = &mut self.ch;
-        let v = {
-            let v = ch.v;
-            ch.v = (ch.v + 1) % ch.graph.num_vertices();
-            v
-        };
+        let (v, e0) = ch.graph.next_vertex();
         let ip = Self::IP;
         ch.buf.push_back(Instr::load(ip, a_offsets(v)));
         ch.buf.push_back(Instr::load(ip + 6, a_prop_a(v)));
         ch.buf.push_back(Instr::alu(ip + 7));
-        for e in ch.graph.edge_range(v) {
-            let t = ch.graph.target(e);
+        for (e, &t) in (e0..).zip(ch.graph.targets()) {
+            let t = t as usize;
             ch.buf.push_back(Instr::load(ip + 1, a_targets(e)));
             ch.buf.push_back(Instr::load_dep(ip + 2, a_prop_a(t)));
             for k in 0..10 {
@@ -274,20 +256,19 @@ graph_kernel!(
     /// neighbour's adjacency run (one irregular offset read) then scan it
     /// sequentially with two-pointer compares. Mostly sequential ⇒
     /// medium STLB MPKI.
-    TriangleCount,
+    ///
+    /// The jump needs a random neighbour's adjacency run, so tc alone
+    /// keeps the graph's offsets array on the host.
+    TriangleCount { offsets: Vec<u64> = GraphStream::offsets },
     "tc",
     0x0006_0000,
     fn refill(&mut self) {
         let ch = &mut self.ch;
-        let v = {
-            let v = ch.v;
-            ch.v = (ch.v + 1) % ch.graph.num_vertices();
-            v
-        };
+        let (v, e0) = ch.graph.next_vertex();
         let ip = Self::IP;
         ch.buf.push_back(Instr::load(ip, a_offsets(v)));
-        for e in ch.graph.edge_range(v) {
-            let u = ch.graph.target(e);
+        for (e, &u) in (e0..).zip(ch.graph.targets()) {
+            let u = u as usize;
             ch.buf.push_back(Instr::load(ip + 1, a_targets(e)));
             // Intersections against already-resident lists are skipped
             // cheaply; a fraction jump to u's adjacency (irregular offset
@@ -297,11 +278,10 @@ graph_kernel!(
                 continue;
             }
             ch.buf.push_back(Instr::load_dep(ip + 2, a_offsets(u)));
-            let range = ch.graph.edge_range(u);
-            for (i, e2) in range.clone().enumerate() {
-                if i >= 16 {
-                    break; // bounded merge window
-                }
+            let first = self.offsets[u] as usize;
+            let end = self.offsets[u + 1] as usize;
+            // Bounded merge window.
+            for e2 in first..end.min(first + 16) {
                 ch.buf.push_back(Instr::load(ip + 6, a_targets(e2)));
                 ch.buf.push_back(Instr::alu(ip + 4));
                 ch.buf.push_back(Instr::alu(ip + 5));
