@@ -34,11 +34,11 @@ echo "==> bench smoke (sim_throughput --json BENCH_sim.json)"
 # elems_per_s.
 cargo bench --offline -p atc-bench --bench sim_throughput -- --samples 2 --json "$PWD/BENCH_sim.json"
 # Perf floor: machine/baseline's best-case rate must stay at or above
-# 0.85x the pre-event-wheel committed trajectory value (8,875,119
-# elem/s median). The event-wheel PR targeted 1.5x here; the measured
-# decomposition showed the seed loop was already within ~15% of the
-# per-component floor on this hardware (DESIGN.md §10, EXPERIMENTS.md),
-# so the gate holds the no-regression line instead. The 0.85 multiple
+# 0.85x the batched core's committed trajectory value (8,875,119
+# elem/s median). The measured decomposition shows the loop within
+# ~15% of the per-component floor on this hardware (DESIGN.md §10,
+# EXPERIMENTS.md), so the gate holds the no-regression line rather
+# than a speedup target. The 0.85 multiple
 # is the observed noise band: across 8 back-to-back 10-sample runs the
 # best-case rate ranged 7.86-9.47 M elem/s on this shared container,
 # while a true regression to the seed loop (~7.0 M best-case) still
@@ -105,7 +105,7 @@ echo "==> batched-core determinism smoke (--jobs 1 vs --jobs 4 stdout)"
 # (Machine::run at DEFAULT_BATCH); identical stdout at 1 and 4 workers
 # pins both scheduler determinism and the batched loop's bit-exact
 # statistics end-to-end (the per-batch-size RunStats equivalence proof
-# lives in crates/sim/tests/batch_equivalence.rs).
+# and the pinned RunStats digests live in tests/oracle_equivalence.rs).
 rm -f target/ci-det1.jsonl target/ci-det4.jsonl
 $SUITE $SUITE_FLAGS --figures fig14,fig16 --jobs 1 \
     --manifest target/ci-det1.jsonl > target/ci-det1.out
@@ -114,8 +114,8 @@ $SUITE $SUITE_FLAGS --figures fig14,fig16 --jobs 4 \
 diff target/ci-det1.out target/ci-det4.out
 
 echo "==> lane determinism smoke (lane_mix --jobs 1 vs --jobs 4 stdout)"
-# The partitioned-lane multicore engine runs one Machine (one event
-# wheel) per lane on its own thread; lanes are independent and the
+# The partitioned-lane multicore engine runs one Machine per lane on
+# its own thread; lanes are independent and the
 # merge is lane-ordered, so stdout must be byte-identical between the
 # serial twin (--jobs 1) and concurrent lanes (--jobs 4).
 LANE_MIX="cargo run --offline --release -p atc-experiments --bin lane_mix --"

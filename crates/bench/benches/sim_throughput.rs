@@ -7,7 +7,7 @@
 //! The baseline is measured twice: once through the default batched run
 //! loop (`machine/baseline`, batch = [`DEFAULT_BATCH`]) and once at
 //! batch size 1 (`machine/baseline@b1`), which drives every instruction
-//! through the same loop without any pre-pass amortization. The pair is
+//! through the same step with no decode amortization. The pair is
 //! the A/B evidence for the batched core: `check_bench_json` fails the
 //! trajectory if the default batch ever drops well below the batch-1
 //! reference.

@@ -88,7 +88,7 @@ fn check(path: &str) -> Result<String, String> {
 
 /// Gate the batched run loop against its batch-1 reference. The
 /// `sim_throughput` bench records `machine/baseline` (default batch)
-/// and `machine/baseline@b1` (same loop, batch size 1, no pre-pass
+/// and `machine/baseline@b1` (same loop, batch size 1, no decode
 /// amortization); a healthy batched core is at least as fast, so the
 /// default batch falling well below the reference means the batching
 /// machinery itself regressed. The threshold is deliberately loose

@@ -342,8 +342,9 @@ impl Cache {
     }
 
     /// [`probe`](Self::probe) for a cache known to carry no recall
-    /// probe — the batched run loop's L1D entry point (the machine only
-    /// ever attaches recall probes at the L2C/LLC/STLB). Statistics,
+    /// probe (the machine only ever attaches recall probes at the
+    /// L2C/LLC/STLB); the benchmark's per-layer drive uses it as its L1D
+    /// entry point. Statistics,
     /// promotion and MSHR behaviour are identical to `probe`; the only
     /// thing skipped is the per-access recall branch.
     #[inline]
@@ -449,9 +450,10 @@ impl Cache {
         (ready, evicted)
     }
 
-    /// Event-wheel probe for a full MSHR file: if a fill at `cycle`
-    /// would stall for a free register, count the stall and return the
-    /// wakeup cycle so the caller can schedule the fill there (see
+    /// Full-MSHR-file probe, used by the benchmark's per-layer drive: if
+    /// a fill at `cycle` would stall for a free register, count the
+    /// stall and return the wakeup cycle so the caller can defer the
+    /// fill there (see
     /// [`Mshr::full_wakeup`](crate::Mshr::full_wakeup)). `None` means
     /// the fill can proceed immediately via
     /// [`insert_miss_at`](Self::insert_miss_at).

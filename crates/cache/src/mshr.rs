@@ -172,15 +172,15 @@ impl Mshr {
         ready
     }
 
-    /// Event-wheel split of [`allocate`](Self::allocate)'s full-file
-    /// handling: if the file is full at `cycle`, count the stall and
-    /// return the wakeup cycle (the earliest in-flight completion) so
-    /// the caller can schedule the allocation there instead of folding
-    /// the delay in inline. A follow-up `allocate` at the returned
-    /// cycle, with the delay already added to its `ready`, lands in the
-    /// exact state the inline path produces: the wakeup sweep frees the
-    /// same entries `allocate(cycle, …)` would have freed via
-    /// `expire(earliest)`.
+    /// Split-out form of [`allocate`](Self::allocate)'s full-file
+    /// handling, used by the benchmark's per-layer drive: if the file is
+    /// full at `cycle`, count the stall and return the wakeup cycle (the
+    /// earliest in-flight completion) so the caller can defer the
+    /// allocation there instead of folding the delay in inline. A
+    /// follow-up `allocate` at the returned cycle, with the delay
+    /// already added to its `ready`, lands in the exact state the inline
+    /// path produces: the wakeup sweep frees the same entries
+    /// `allocate(cycle, …)` would have freed via `expire(earliest)`.
     pub fn full_wakeup(&mut self, cycle: u64) -> Option<u64> {
         self.expire(cycle);
         if self.entries.len() < self.capacity {

@@ -1,5 +1,5 @@
 //! Partitioned-lane multicore smoke: a fixed four-lane mix through
-//! [`run_multicore_lanes`], one event wheel per lane, with `--jobs`
+//! [`run_multicore_lanes`], one `Machine` per lane, with `--jobs`
 //! selecting the worker-thread count.
 //!
 //! The whole point of this binary is the determinism contract: lanes are

@@ -2,7 +2,6 @@
 //! the SMT and multi-core drivers.
 
 use crate::telemetry::{SimTelemetry, TelemetryConfig};
-use crate::wheel::EventWheel;
 use atc_cache::{Cache, Probe};
 use atc_core::{Atp, DpPred, IdealConfig, PolicyChoice, Tempo};
 use atc_cpu::{CompletionKind, CoreStats, RobModel};
@@ -282,93 +281,6 @@ pub(crate) fn access_path(
     }
 }
 
-/// One PTE-read hop of a page walk: the access-path descent for step
-/// `idx` of `plan` arriving at `t`, plus the leaf-step ATP/TEMPO
-/// triggers and serving-level accounting. Returns `(ready, served)`.
-/// Shared verbatim by the scalar walk loop ([`do_walk`]) and the event
-/// wheel's hop retirement ([`Machine::drive_walk`]), so both paths
-/// perform the identical state transitions.
-#[allow(clippy::too_many_arguments)]
-fn walk_hop(
-    core: &mut CoreCtx,
-    llc: &mut Cache,
-    dram: &mut Dram,
-    ideal: &IdealConfig,
-    ip: u64,
-    plan: &WalkPlan,
-    block_in_page: u64,
-    idx: usize,
-    t: u64,
-) -> (u64, MemLevel) {
-    let step = &plan.steps[idx];
-    let info = AccessInfo::demand(
-        ip,
-        step.pte_addr.line(),
-        AccessClass::Translation(step.level),
-    );
-    let (ready, served) = access_path(
-        &mut core.l1d,
-        &mut core.l2c,
-        llc,
-        dram,
-        ideal,
-        &info,
-        t,
-        MemLevel::L1d,
-    );
-    if step.level.is_leaf() {
-        core.service_translation[served.index()] += 1;
-        // ATP: leaf PTE hit at L2C/LLC → prefetch the replay block
-        // right away, into the level that held the PTE.
-        if let Some(atp) = &mut core.atp {
-            if let Some(pf) = atp.on_leaf_pte_access(served, plan.data_pfn, block_in_page) {
-                let pf_info = AccessInfo::prefetch(ip, pf.line, AccessClass::ReplayData);
-                let start = match pf.trigger_level {
-                    MemLevel::L2c => MemLevel::L2c,
-                    _ => MemLevel::Llc,
-                };
-                let _ = access_path(
-                    &mut core.l1d,
-                    &mut core.l2c,
-                    llc,
-                    dram,
-                    ideal,
-                    &pf_info,
-                    ready,
-                    start,
-                );
-            }
-        }
-        // TEMPO: leaf PTE served by DRAM → the controller fetches the
-        // replay block back-to-back and fills the LLC.
-        if served == MemLevel::Dram {
-            if let Some(tempo) = &mut core.tempo {
-                let pf = tempo.on_leaf_pte_dram(plan.data_pfn, block_in_page);
-                let pf_info = AccessInfo::prefetch(ip, pf.line, AccessClass::ReplayData);
-                if !llc.contains(pf.line) && llc.mshr_merge(&pf_info, ready).is_none() {
-                    let dram_ready = dram.access(pf.line, ready);
-                    let _ = llc.insert_miss(&pf_info, dram_ready, ready);
-                }
-            }
-        }
-    }
-    (ready, served)
-}
-
-/// Walk completion: install TLB/PSC entries, with the DpPred (§V-B
-/// comparison) STLB bypass and eviction training. Shared by
-/// [`do_walk`] and [`Machine::drive_walk`].
-fn finish_walk(core: &mut CoreCtx, plan: &WalkPlan, ip: u64) {
-    let fill_stlb = match &core.dppred {
-        Some(p) => !p.should_bypass_stlb(ip),
-        None => true,
-    };
-    let evicted = core.mmu.complete_walk_tracked(plan, ip, fill_stlb);
-    if let (Some(p), Some(ev)) = (&core.dppred, evicted) {
-        p.on_stlb_eviction(&ev);
-    }
-}
-
 /// Execute a page walk: play each PTE read through the caches, trigger
 /// ATP/TEMPO on the leaf read, install TLB/PSC entries. Returns the cycle
 /// the translation resolves.
@@ -388,11 +300,61 @@ pub(crate) fn do_walk(
     // stack buffer keeps the walk path allocation-free.
     let mut hops = [WalkHop::PAD; MAX_WALK_HOPS];
     let mut hop_count = 0usize;
-    for idx in 0..plan.steps.len() {
-        let (ready, served) = walk_hop(core, llc, dram, ideal, ip, plan, block_in_page, idx, t);
+    for step in &plan.steps {
+        let info = AccessInfo::demand(
+            ip,
+            step.pte_addr.line(),
+            AccessClass::Translation(step.level),
+        );
+        let (ready, served) = access_path(
+            &mut core.l1d,
+            &mut core.l2c,
+            llc,
+            dram,
+            ideal,
+            &info,
+            t,
+            MemLevel::L1d,
+        );
+        if step.level.is_leaf() {
+            core.service_translation[served.index()] += 1;
+            // ATP: leaf PTE hit at L2C/LLC → prefetch the replay block
+            // right away, into the level that held the PTE.
+            if let Some(atp) = &mut core.atp {
+                if let Some(pf) = atp.on_leaf_pte_access(served, plan.data_pfn, block_in_page) {
+                    let pf_info = AccessInfo::prefetch(ip, pf.line, AccessClass::ReplayData);
+                    let start = match pf.trigger_level {
+                        MemLevel::L2c => MemLevel::L2c,
+                        _ => MemLevel::Llc,
+                    };
+                    let _ = access_path(
+                        &mut core.l1d,
+                        &mut core.l2c,
+                        llc,
+                        dram,
+                        ideal,
+                        &pf_info,
+                        ready,
+                        start,
+                    );
+                }
+            }
+            // TEMPO: leaf PTE served by DRAM → the controller fetches the
+            // replay block back-to-back and fills the LLC.
+            if served == MemLevel::Dram {
+                if let Some(tempo) = &mut core.tempo {
+                    let pf = tempo.on_leaf_pte_dram(plan.data_pfn, block_in_page);
+                    let pf_info = AccessInfo::prefetch(ip, pf.line, AccessClass::ReplayData);
+                    if !llc.contains(pf.line) && llc.mshr_merge(&pf_info, ready).is_none() {
+                        let dram_ready = dram.access(pf.line, ready);
+                        let _ = llc.insert_miss(&pf_info, dram_ready, ready);
+                    }
+                }
+            }
+        }
         if hop_count < MAX_WALK_HOPS {
             hops[hop_count] = WalkHop {
-                level: plan.steps[idx].level,
+                level: step.level,
                 served,
                 latency: ready.saturating_sub(t),
             };
@@ -403,7 +365,15 @@ pub(crate) fn do_walk(
     if let Some(tm) = &mut core.telem {
         tm.on_walk_complete(start_time, t, &hops[..hop_count]);
     }
-    finish_walk(core, plan, ip);
+    // DpPred (§V-B comparison): STLB bypass and eviction training.
+    let fill_stlb = match &core.dppred {
+        Some(p) => !p.should_bypass_stlb(ip),
+        None => true,
+    };
+    let evicted = core.mmu.complete_walk_tracked(plan, ip, fill_stlb);
+    if let (Some(p), Some(ev)) = (&core.dppred, evicted) {
+        p.on_stlb_eviction(&ev);
+    }
     t
 }
 
@@ -485,26 +455,16 @@ pub(crate) fn issue_prefetches(
 }
 
 /// Execute one instruction against the memory system and push it into
-/// `rob`. `va_offset` relocates the workload's address space (used to
-/// give SMT threads / cores disjoint address spaces).
+/// `rob`: the simulator's only per-instruction step, shared by the
+/// single-core loops, SMT and multi-core. `va_offset` relocates the
+/// workload's address space (used to give SMT threads / cores disjoint
+/// address spaces); `ignore_deps` is the dependency ablation
+/// ([`SimConfig::ignore_deps`]).
 ///
 /// # Errors
 ///
 /// Propagates [`SimError::Walk`] from the translation engine (a
 /// corrupted page-table path; unreachable with demand mapping).
-pub(crate) fn exec_instr(
-    core: &mut CoreCtx,
-    llc: &mut Cache,
-    dram: &mut Dram,
-    ideal: &IdealConfig,
-    rob: &mut RobModel,
-    instr: Instr,
-    va_offset: u64,
-) -> Result<(), SimError> {
-    exec_instr_opts(core, llc, dram, ideal, rob, instr, va_offset, false)
-}
-
-/// [`exec_instr`] with the dependency-ablation switch.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_instr_opts(
     core: &mut CoreCtx,
@@ -801,38 +761,12 @@ impl From<SimError> for SimFailure {
     }
 }
 
-/// Event payloads the machine's calendar wheel retires: the scheduled
-/// stages of one in-flight miss chain. Each stage of a chain is
-/// serially dependent on the previous one (its due cycle comes from the
-/// previous stage's completion), so retiring the chain in `(due, seq)`
-/// order reproduces the scalar oracle's state-transition order exactly
-/// — the property the equivalence suite pins (see DESIGN.md §13).
-#[derive(Debug, Clone, Copy)]
-enum MissEv {
-    /// Probe the L2C for the active data access.
-    DataL2,
-    /// Probe the LLC for the active data access.
-    DataLlc,
-    /// DRAM service for the active data access.
-    DataDram,
-    /// Fill the given level for the active data access at its MSHR
-    /// file's wakeup cycle (the file was full when the chain resolved).
-    FillWakeup(MemLevel),
-    /// Retire PTE-read hop `idx` of the active walk plan.
-    WalkHop(u8),
-}
-
 /// The single-core machine.
 pub struct Machine {
     cfg: SimConfig,
     core: CoreCtx,
     llc: Cache,
     dram: Dram,
-    /// Calendar wheel for the batched loop's miss machinery. Always
-    /// drained back to empty before an instruction retires, so it
-    /// carries no state across instructions (and none into collected
-    /// statistics).
-    wheel: EventWheel<MissEv>,
 }
 
 impl std::fmt::Debug for Machine {
@@ -878,7 +812,6 @@ impl Machine {
             core,
             llc,
             dram: Dram::new(&m.dram),
-            wheel: EventWheel::new(),
         })
     }
 
@@ -930,7 +863,7 @@ impl Machine {
     /// [`run`](Self::run) at an explicit batch size (decode granularity
     /// of the batched core). Any `batch >= 1` produces byte-identical
     /// `RunStats`; the knob exists for the A/B throughput benches and
-    /// the batch-equivalence suite.
+    /// the oracle suite.
     ///
     /// # Errors
     ///
@@ -964,10 +897,10 @@ impl Machine {
     }
 
     /// The scalar reference loop: one instruction decoded and executed
-    /// at a time through the general path, exactly as the pre-batching
-    /// core ran. Kept as the behavioural reference — the equivalence
-    /// suite proves [`run_batched`](Self::run_batched) matches it
-    /// byte-for-byte at every batch size.
+    /// at a time, exactly as the pre-batching core ran. Kept as the
+    /// behavioural reference — the oracle suite proves
+    /// [`run_batched`](Self::run_batched) matches it byte-for-byte at
+    /// every batch size.
     ///
     /// # Errors
     ///
@@ -979,36 +912,13 @@ impl Machine {
         measure: u64,
     ) -> Result<RunStats, SimFailure> {
         let mut rob = RobModel::new(&self.cfg.machine.core);
-        let deps = self.cfg.ignore_deps;
-        let watchdog = self.cfg.watchdog_cycles.max(1);
         let mut last_now = rob.now();
         for (phase, budget) in [warmup, measure].into_iter().enumerate() {
             for _ in 0..budget {
-                let i = wl.next_instr();
-                if let Err(error) = exec_instr_opts(
-                    &mut self.core,
-                    &mut self.llc,
-                    &mut self.dram,
-                    &self.cfg.ideal,
-                    &mut rob,
-                    i,
-                    0,
-                    deps,
-                ) {
-                    return Err(SimFailure {
-                        error,
-                        partial: Some(Box::new(self.collect(rob.finish()))),
-                    });
+                let instr = wl.next_instr();
+                if let Err(error) = self.step(&mut rob, instr, &mut last_now) {
+                    return Err(self.failure(rob, error));
                 }
-                let now = rob.now();
-                if now.saturating_sub(last_now) > watchdog {
-                    let diag = deadlock_diag(&rob, &self.core, &self.llc, last_now);
-                    return Err(SimFailure {
-                        error: SimError::Deadlock(Box::new(diag)),
-                        partial: Some(Box::new(self.collect(rob.finish()))),
-                    });
-                }
-                last_now = now;
             }
             if phase == 0 {
                 self.reset_stats();
@@ -1019,15 +929,11 @@ impl Machine {
     }
 
     /// The batched core. Decodes `batch` records at a time through
-    /// [`Workload::next_batch`], then executes them in strict program
-    /// order: a tight per-instruction pre-pass resolves the common
-    /// DTLB-hit / L1D-behaviour case against one tag array per level and
-    /// bails into the existing walk/DRAM machinery at the exact point of
-    /// divergence, so every TLB/cache/MSHR state transition happens in
-    /// the same order as the scalar loop. The cancel token is polled at
-    /// batch boundaries against a next-poll threshold; the deadlock
-    /// watchdog stays per-instruction (a ROB-full dispatch can jump the
-    /// clock on any instruction, batched or not).
+    /// [`Workload::next_batch`], then executes them one by one, in
+    /// program order, through the same step as the scalar loop. The
+    /// cancel token is polled at batch boundaries against a next-poll
+    /// threshold; the deadlock watchdog stays per-instruction (a
+    /// ROB-full dispatch can jump the clock on any instruction).
     fn run_inner(
         &mut self,
         wl: &mut dyn Workload,
@@ -1040,17 +946,6 @@ impl Machine {
             return Err(SimError::config("batch size must be positive").into());
         }
         let mut rob = RobModel::new(&self.cfg.machine.core);
-        let deps = self.cfg.ignore_deps;
-        let watchdog = self.cfg.watchdog_cycles.max(1);
-        let dtlb_lat = self.core.mmu.dtlb_latency();
-        // Fast-pass eligibility, hoisted once per run: with an oracle,
-        // prefetcher or telemetry attached, per-instruction observer
-        // hooks fire on paths the pre-pass skips, so those runs take the
-        // general path for every instruction (still batch-decoded).
-        let fast = !self.cfg.ideal.any()
-            && self.core.l1_pf.is_none()
-            && self.core.l2_pf.is_none()
-            && self.core.telem.is_none();
         let mut last_now = rob.now();
         let mut retired: u64 = 0;
         let mut next_poll: u64 = 0;
@@ -1063,63 +958,22 @@ impl Machine {
                     // instructions, checked only at batch boundaries.
                     if retired >= next_poll {
                         if token.is_cancelled() {
-                            return Err(SimFailure {
-                                error: SimError::Cancelled {
-                                    instructions: retired,
-                                },
-                                partial: Some(Box::new(self.collect(rob.finish()))),
-                            });
+                            let error = SimError::Cancelled {
+                                instructions: retired,
+                            };
+                            return Err(self.failure(rob, error));
                         }
                         next_poll = retired + CANCEL_POLL_INSTRS;
                     }
                 }
                 let n = remaining.min(batch as u64) as usize;
                 wl.next_batch(&mut buf, n);
-                // One macro expansion per eligibility arm hoists the
-                // fast/general branch out of the per-instruction loop, so
-                // each arm's body stays small instead of carrying both
-                // execution paths through the hottest loop in the
-                // simulator. The error plumbing (partial-stats salvage,
-                // per-instruction deadlock watchdog) is shared.
-                macro_rules! drain_batch {
-                    ($exec:expr) => {
-                        for idx in 0..n {
-                            let instr = buf[idx];
-                            #[allow(clippy::redundant_closure_call)]
-                            let step = $exec(instr);
-                            if let Err(error) = step {
-                                return Err(SimFailure {
-                                    error,
-                                    partial: Some(Box::new(self.collect(rob.finish()))),
-                                });
-                            }
-                            retired += 1;
-                            let now = rob.now();
-                            if now.saturating_sub(last_now) > watchdog {
-                                let diag = deadlock_diag(&rob, &self.core, &self.llc, last_now);
-                                return Err(SimFailure {
-                                    error: SimError::Deadlock(Box::new(diag)),
-                                    partial: Some(Box::new(self.collect(rob.finish()))),
-                                });
-                            }
-                            last_now = now;
-                        }
-                    };
+                for &instr in &buf[..n] {
+                    if let Err(error) = self.step(&mut rob, instr, &mut last_now) {
+                        return Err(self.failure(rob, error));
+                    }
                 }
-                if fast {
-                    drain_batch!(|instr| self.exec_fast(&mut rob, instr, dtlb_lat, deps));
-                } else {
-                    drain_batch!(|instr| exec_instr_opts(
-                        &mut self.core,
-                        &mut self.llc,
-                        &mut self.dram,
-                        &self.cfg.ideal,
-                        &mut rob,
-                        instr,
-                        0,
-                        deps,
-                    ));
-                }
+                retired += n as u64;
                 remaining -= n as u64;
             }
             if phase == 0 {
@@ -1130,216 +984,42 @@ impl Machine {
         Ok(self.collect(rob.finish()))
     }
 
-    /// The batched loop's per-instruction fast pass: observably
-    /// identical to [`exec_instr_opts`] for configurations with no
-    /// ideal oracle, no prefetchers and no telemetry (checked once per
-    /// run), but with the DTLB and L1D probes inlined so the all-hit
-    /// case touches exactly one tag array per level before the ROB
-    /// push. DTLB misses and L1D misses divert into the same
-    /// walk/hierarchy machinery the general path uses, at the exact
-    /// divergence point, preserving state-transition order.
+    /// Execute one instruction through [`exec_instr_opts`], then run the
+    /// deadlock watchdog: the core clock may not jump by more than
+    /// `watchdog_cycles` since the previous instruction (`last_now`).
     #[inline]
-    fn exec_fast(
+    fn step(
         &mut self,
         rob: &mut RobModel,
         instr: Instr,
-        dtlb_lat: u64,
-        ignore_deps: bool,
+        last_now: &mut u64,
     ) -> Result<(), SimError> {
-        let at = rob.dispatch();
-        let Some(op) = instr.op else {
-            rob.push(CompletionKind::NonMemory);
-            return Ok(());
-        };
-        let (va_raw, is_store) = match op {
-            MemOp::Load(a) => (a.raw(), false),
-            MemOp::Store(a) => (a.raw(), true),
-        };
-        let va = VirtAddr::new(va_raw);
-        let ip = instr.ip;
-        let at = if instr.dep && !ignore_deps {
-            at.max(rob.last_load_completion())
-        } else {
-            at
-        };
-        let (trans_done, pfn, walked) = match self.core.mmu.dtlb_lookup(va.vpn()) {
-            Some(pfn) => (at + dtlb_lat, pfn, false),
-            None => match self.core.mmu.query_after_dtlb_miss(va.vpn())? {
-                TranslationQuery::DtlbHit(_) => unreachable!("DTLB probe already missed"),
-                TranslationQuery::StlbHit(pfn) => {
-                    (at + dtlb_lat + self.core.mmu.stlb_latency(), pfn, false)
-                }
-                TranslationQuery::Walk(plan) => {
-                    let walk_start =
-                        at + dtlb_lat + self.core.mmu.stlb_latency() + self.core.mmu.psc_latency();
-                    let done = self.drive_walk(ip, &plan, va.block_in_page(), walk_start);
-                    (done, plan.data_pfn, true)
-                }
-            },
-        };
-        let line = LineAddr::new((pfn.raw() << 6) | va.block_in_page());
-        let class = if is_store {
-            AccessClass::Store
-        } else if walked {
-            AccessClass::ReplayData
-        } else {
-            AccessClass::NonReplayData
-        };
-        let info = AccessInfo::demand(ip, line, class);
-        let (data_done, served) = match self.core.l1d.probe_fast(&info, trans_done) {
-            Probe::Ready(r) => (r, MemLevel::L1d),
-            Probe::Miss { set, empty } => self.drive_miss_chain(&info, set, empty, trans_done),
-        };
-        if class == AccessClass::ReplayData {
-            self.core.service_replay[served.index()] += 1;
+        exec_instr_opts(
+            &mut self.core,
+            &mut self.llc,
+            &mut self.dram,
+            &self.cfg.ideal,
+            rob,
+            instr,
+            0,
+            self.cfg.ignore_deps,
+        )?;
+        let now = rob.now();
+        if now.saturating_sub(*last_now) > self.cfg.watchdog_cycles.max(1) {
+            let diag = deadlock_diag(rob, &self.core, &self.llc, *last_now);
+            return Err(SimError::Deadlock(Box::new(diag)));
         }
-        if is_store {
-            rob.push(CompletionKind::Store);
-        } else {
-            rob.note_load_completion(data_done);
-            rob.push(CompletionKind::Load {
-                trans_done,
-                data_done,
-                walked,
-            });
-        }
+        *last_now = now;
         Ok(())
     }
 
-    /// Resolve a demand access the L1D pre-pass already missed by
-    /// retiring the rest of its miss chain off the event wheel: the
-    /// L2C probe, LLC probe and DRAM service each fire as an event at
-    /// the cycle the previous stage completed, and the per-level fills
-    /// run once the serving level is known — immediately when a level's
-    /// MSHR file has a free register, or as a [`MissEv::FillWakeup`]
-    /// event at the file's wakeup cycle when it is full (reproducing
-    /// the inline path's full-file delay arithmetic exactly; see
-    /// [`Mshr::full_wakeup`](atc_cache::Mshr::full_wakeup)).
-    ///
-    /// The due cycles mirror the latency chain [`access_path`] computes
-    /// inline, and the chain is serially dependent, so `(due, seq)`
-    /// retirement order equals inline execution order — which is what
-    /// keeps the resulting `RunStats` bit-exact against the scalar
-    /// oracle. The wheel is drained back to empty before returning.
-    fn drive_miss_chain(
-        &mut self,
-        info: &AccessInfo,
-        l1_set: usize,
-        l1_empty: Option<usize>,
-        cycle: u64,
-    ) -> (u64, MemLevel) {
-        debug_assert!(self.wheel.is_empty(), "stale events before a miss chain");
-        // Missed levels in descent order, with the set/empty-way results
-        // of their probes (same inline record access_path keeps).
-        let mut missed = [(MemLevel::L1d, l1_set, l1_empty); 3];
-        let mut n_missed = 1usize;
-        let mut outcome: Option<(u64, MemLevel)> = None;
-        self.wheel
-            .schedule(cycle + self.core.l1d.latency(), MissEv::DataL2);
-        while let Some((t, ev)) = self.wheel.pop() {
-            match ev {
-                MissEv::DataL2 => match self.core.l2c.probe(info, t) {
-                    Probe::Ready(r) => outcome = Some((r, MemLevel::L2c)),
-                    Probe::Miss { set, empty } => {
-                        missed[n_missed] = (MemLevel::L2c, set, empty);
-                        n_missed += 1;
-                        self.wheel
-                            .schedule(t + self.core.l2c.latency(), MissEv::DataLlc);
-                    }
-                },
-                MissEv::DataLlc => match self.llc.probe(info, t) {
-                    Probe::Ready(r) => outcome = Some((r, MemLevel::Llc)),
-                    Probe::Miss { set, empty } => {
-                        missed[n_missed] = (MemLevel::Llc, set, empty);
-                        n_missed += 1;
-                        self.wheel
-                            .schedule(t + self.llc.latency(), MissEv::DataDram);
-                    }
-                },
-                MissEv::DataDram => {
-                    outcome = Some((self.dram.access(info.line, t), MemLevel::Dram));
-                }
-                MissEv::FillWakeup(_) | MissEv::WalkHop(_) => {
-                    unreachable!("fill/walk event during chain resolution")
-                }
-            }
+    /// A failed run, salvaging the statistics gathered so far.
+    #[cold]
+    fn failure(&mut self, rob: RobModel, error: SimError) -> SimFailure {
+        SimFailure {
+            error,
+            partial: Some(Box::new(self.collect(rob.finish()))),
         }
-        let (ready, served) = outcome.expect("miss chain resolved at some level");
-        // Fill phase: install tags and MSHR registers for every missed
-        // level. A full MSHR file defers its fill to the file's wakeup
-        // cycle `w`; folding the wait into the fill's ready (`ready +
-        // (w - cycle)`) at that later allocate reproduces the inline
-        // allocate's delay arithmetic exactly. Fills at different
-        // levels touch disjoint state, so deferred fills retiring after
-        // immediate ones cannot change any observable outcome.
-        for &(level, set, empty) in &missed[..n_missed] {
-            let cache: &mut Cache = match level {
-                MemLevel::L1d => &mut self.core.l1d,
-                MemLevel::L2c => &mut self.core.l2c,
-                MemLevel::Llc => &mut self.llc,
-                MemLevel::Dram => unreachable!(),
-            };
-            match cache.mshr_full_wakeup(cycle) {
-                None => {
-                    let _ = cache.insert_miss_at(set, empty, info, ready, cycle);
-                }
-                Some(w) => self.wheel.schedule(w, MissEv::FillWakeup(level)),
-            }
-        }
-        while let Some((w, ev)) = self.wheel.pop() {
-            let MissEv::FillWakeup(level) = ev else {
-                unreachable!("only fill wakeups remain after resolution")
-            };
-            let &(_, set, empty) = missed[..n_missed]
-                .iter()
-                .find(|&&(l, _, _)| l == level)
-                .expect("wakeup for a level that missed");
-            let cache: &mut Cache = match level {
-                MemLevel::L1d => &mut self.core.l1d,
-                MemLevel::L2c => &mut self.core.l2c,
-                MemLevel::Llc => &mut self.llc,
-                MemLevel::Dram => unreachable!(),
-            };
-            let delayed = ready + (w - cycle);
-            let _ = cache.insert_miss_at(set, empty, info, delayed, w);
-        }
-        (ready, served)
-    }
-
-    /// Execute a page walk by retiring its PTE-read hops as deferred
-    /// [`MissEv::WalkHop`] events: hop `i+1` is scheduled at the cycle
-    /// hop `i` completes, so the wheel replays [`do_walk`]'s serial hop
-    /// chain in identical order with identical per-hop state
-    /// transitions ([`walk_hop`] is shared verbatim). Used by the fast
-    /// pass only, which requires telemetry detached — the scalar path's
-    /// hop-span recording has nothing to observe here.
-    fn drive_walk(&mut self, ip: u64, plan: &WalkPlan, block_in_page: u64, start: u64) -> u64 {
-        debug_assert!(self.wheel.is_empty(), "stale events before a walk");
-        self.wheel.schedule(start, MissEv::WalkHop(0));
-        let mut done = start;
-        while let Some((t, ev)) = self.wheel.pop() {
-            let MissEv::WalkHop(idx) = ev else {
-                unreachable!("non-walk event during a walk")
-            };
-            let idx = idx as usize;
-            let (ready, _served) = walk_hop(
-                &mut self.core,
-                &mut self.llc,
-                &mut self.dram,
-                &self.cfg.ideal,
-                ip,
-                plan,
-                block_in_page,
-                idx,
-                t,
-            );
-            done = ready;
-            if idx + 1 < plan.steps.len() {
-                self.wheel.schedule(ready, MissEv::WalkHop((idx + 1) as u8));
-            }
-        }
-        finish_walk(&mut self.core, plan, ip);
-        done
     }
 
     fn reset_stats(&mut self) {

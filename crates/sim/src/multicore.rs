@@ -8,7 +8,9 @@ use atc_dram::Dram;
 use atc_types::{CancelToken, SimError};
 use atc_workloads::Workload;
 
-use crate::machine::{deadlock_diag, exec_instr, CoreCtx, Machine, SimConfig, CANCEL_POLL_INSTRS};
+use crate::machine::{
+    deadlock_diag, exec_instr_opts, CoreCtx, Machine, SimConfig, CANCEL_POLL_INSTRS,
+};
 
 /// Per-core virtual-address-space offset.
 const CORE_VA_STRIDE: u64 = 1 << 47;
@@ -109,7 +111,7 @@ pub fn run_multicore_cancellable(
             }
             let Some((i, before)) = pick else { break };
             let instr = wls[i].next_instr();
-            exec_instr(
+            exec_instr_opts(
                 &mut cores[i],
                 llc,
                 dram,
@@ -117,6 +119,7 @@ pub fn run_multicore_cancellable(
                 &mut robs[i],
                 instr,
                 i as u64 * CORE_VA_STRIDE,
+                mcfg.ignore_deps,
             )?;
             if robs[i].now().saturating_sub(before) > watchdog {
                 let diag = deadlock_diag(&robs[i], &cores[i], llc, before);
@@ -148,7 +151,7 @@ pub fn run_multicore_cancellable(
 /// Partitioned-lane multicore: each core owns its *entire* hierarchy —
 /// private L1D/L2C/TLBs as in [`run_multicore`], plus its own 2 MiB LLC
 /// slice and DRAM channel — so lanes never interact and can be simulated
-/// concurrently, one [`Machine`] (and one event wheel) per lane on its
+/// concurrently, one [`Machine`] per lane on its
 /// own OS thread.
 ///
 /// This is the way-partitioned/channel-partitioned operating point of

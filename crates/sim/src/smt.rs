@@ -12,7 +12,7 @@ use atc_cpu::{CoreStats, RobModel};
 use atc_types::{CancelToken, SimError};
 use atc_workloads::Workload;
 
-use crate::machine::{deadlock_diag, exec_instr, CoreCtx, SimConfig, CANCEL_POLL_INSTRS};
+use crate::machine::{deadlock_diag, exec_instr_opts, CoreCtx, SimConfig, CANCEL_POLL_INSTRS};
 use atc_cache::Cache;
 use atc_dram::Dram;
 
@@ -114,7 +114,7 @@ pub fn run_smt_cancellable(
             };
             let instr = wls[tid].next_instr();
             let before = robs[tid].now();
-            exec_instr(
+            exec_instr_opts(
                 core,
                 llc,
                 dram,
@@ -122,6 +122,7 @@ pub fn run_smt_cancellable(
                 &mut robs[tid],
                 instr,
                 tid as u64 * THREAD_VA_STRIDE,
+                cfg.ignore_deps,
             )?;
             if robs[tid].now().saturating_sub(before) > watchdog {
                 let diag = deadlock_diag(&robs[tid], core, llc, before);

@@ -194,10 +194,10 @@ impl TranslationEngine {
     }
 
     /// First-level DTLB probe alone (advancing its LRU/statistics). The
-    /// batched run loop inlines this on its fast path and only falls
-    /// into [`query_after_dtlb_miss`](Self::query_after_dtlb_miss) on a
-    /// miss; `dtlb_lookup` followed by `query_after_dtlb_miss` is
-    /// exactly [`query`](Self::query).
+    /// benchmark's per-layer drive calls it directly and only falls into
+    /// [`query_after_dtlb_miss`](Self::query_after_dtlb_miss) on a miss;
+    /// `dtlb_lookup` followed by `query_after_dtlb_miss` is exactly
+    /// [`query`](Self::query).
     #[inline]
     pub fn dtlb_lookup(&mut self, vpn: Vpn) -> Option<Pfn> {
         self.dtlb.lookup(vpn)
