@@ -70,7 +70,15 @@ SUITE="cargo run --offline --release -p atc-experiments --bin suite --"
 SUITE_FLAGS="--scale test --warmup 2000 --instructions 20000"
 rm -f target/ci-suite.jsonl
 $SUITE $SUITE_FLAGS --jobs 4 --manifest target/ci-suite.jsonl --check \
-    > target/ci-suite.out
+    > target/ci-suite.out 2> target/ci-suite.err
+
+echo "==> trace footprint (suite smoke stderr)"
+# The captured streams and their bytes are a deterministic function of
+# the catalog and the trace layout (12 B per record plus 4 B per
+# 64-record block), so this exact line gates trace-memory regressions
+# without timing noise.
+grep -Fx "suite: 59 instruction streams captured (55.0 MiB shared)" \
+    target/ci-suite.err
 
 echo "==> small-scale suite byte-identity (golden stdout)"
 # Every benchmark's stream at Scale::Small, graph kernels included, end

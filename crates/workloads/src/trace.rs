@@ -18,12 +18,34 @@
 //!   used *unreferenced* streams once an optional residency budget is
 //!   exceeded, and tallies cross-owner hits ([`TraceCache::stats`]).
 //!
-//! # Format
+//! # On-disk format
 //!
 //! Little-endian records of `(ip: u64, packed_addr: u64)` after an
-//! 8-byte magic/header. `packed_addr` keeps the 57-bit virtual address in
-//! the low bits and flags in the top bits: bit 63 = has memory op,
-//! bit 62 = store, bit 61 = address-dependent.
+//! 8-byte magic and an 8-byte record count. `packed_addr` keeps the
+//! 57-bit virtual address in the low bits and flags in the top bits:
+//! bit 63 = has memory op, bit 62 = store, bit 61 = address-dependent.
+//! A non-memory record's `packed_addr` is 0.
+//!
+//! # In-memory layout
+//!
+//! A [`Trace`] does not hold the file's records. Streams use a handful of
+//! distinct IPs and about half their records touch no memory, so a
+//! trace keeps:
+//!
+//! * a table of its distinct IPs, in first-seen order;
+//! * one `u32` head per record: bit 31 marks a memory op, the low bits
+//!   index the IP table;
+//! * the `packed_addr` word of each memory record only, in order;
+//! * the count of memory records before each 64-record block, so
+//!   [`Trace::get`] finds a payload in O(1).
+//!
+//! [`capture`] reserves a payload slot for every record up front, so it
+//! never reallocates; the slots of non-memory records are never written,
+//! so their pages need not become resident. [`TraceReplay`] walks the
+//! heads in order with a payload cursor beside its position, so
+//! sequential decode never consults the block counts. The file format
+//! above is unchanged by this layout: [`Trace::to_writer`] rebuilds each
+//! 16-byte record from its head and payload.
 //!
 //! # Example
 //!
@@ -60,15 +82,99 @@ const ADDR_MASK: u64 = (1 << 57) - 1;
 /// Bits 57–60 are reserved: [`pack`] never sets them, so a record with
 /// any of them set was not produced by this writer.
 const RESERVED_MASK: u64 = !(FLAG_MEM | FLAG_STORE | FLAG_DEP | ADDR_MASK);
-/// Pre-allocation cap for the record vector: a corrupt header count
+/// Pre-allocation cap for the record vectors: a corrupt header count
 /// must not drive `Vec::with_capacity` into an OOM abort before the
 /// truncated body is even read.
 const PREALLOC_CAP: usize = 1 << 20;
 
-/// A captured instruction trace.
+/// Head bit marking a memory record; the low 31 bits index the IP table.
+const HEAD_MEM: u32 = 1 << 31;
+/// Most records a [`Trace`] holds, so every IP index fits a head and
+/// every memory-record count a `u32`.
+const MAX_RECORDS: usize = HEAD_MEM as usize;
+/// Records per block of the memory-record count index.
+const BLOCK: usize = 64;
+/// Slots in [`IpTable`]'s direct-mapped memo.
+const MEMO_SLOTS: usize = 64;
+/// Memo slot holding no IP (a real index is below [`HEAD_MEM`]).
+const MEMO_EMPTY: u32 = u32::MAX;
+
+/// A captured instruction trace (see the module docs for its layout).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
-    records: Vec<(u64, u64)>, // (ip, packed)
+    ips: IpTable,
+    /// One head per record: [`HEAD_MEM`] | index into `ips`.
+    heads: Vec<u32>,
+    /// The packed address/flag word of each memory record.
+    payloads: Vec<u64>,
+    /// `blocks[b]` counts the memory records in `heads[..b * BLOCK]`.
+    blocks: Vec<u32>,
+}
+
+/// A trace's distinct IPs in first-seen order, with the lookup that
+/// interns them: a direct-mapped memo in front of a hash map keeps the
+/// per-record lookup O(1) and, for the few hot IPs a stream has, free
+/// of hashing.
+#[derive(Debug, Clone)]
+struct IpTable {
+    ips: Vec<u64>,
+    memo: [(u64, u32); MEMO_SLOTS],
+    index: HashMap<u64, u32>,
+}
+
+impl Default for IpTable {
+    fn default() -> Self {
+        IpTable {
+            ips: Vec::new(),
+            memo: [(0, MEMO_EMPTY); MEMO_SLOTS],
+            index: HashMap::new(),
+        }
+    }
+}
+
+/// The table's content is its IPs; the memo and index are derived.
+impl PartialEq for IpTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.ips == other.ips
+    }
+}
+
+impl Eq for IpTable {}
+
+impl IpTable {
+    /// The table index of `ip`, appending it on first sight.
+    #[inline]
+    fn intern(&mut self, ip: u64) -> u32 {
+        // Fibonacci hash: the top 6 bits pick one of the 64 slots.
+        let slot = (ip.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58) as usize;
+        let (memo_ip, idx) = self.memo[slot];
+        if memo_ip == ip && idx != MEMO_EMPTY {
+            return idx;
+        }
+        self.intern_miss(ip, slot)
+    }
+
+    /// [`intern`](Self::intern) past a memo miss, kept out of line so
+    /// the per-record path stays small.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 2^31 distinct IPs, which a head cannot index.
+    #[cold]
+    #[inline(never)]
+    fn intern_miss(&mut self, ip: u64, slot: usize) -> u32 {
+        let ips = &mut self.ips;
+        let idx = *self.index.entry(ip).or_insert_with(|| {
+            let idx = u32::try_from(ips.len())
+                .ok()
+                .filter(|&i| i < HEAD_MEM)
+                .expect("trace exceeds 2^31 distinct IPs");
+            ips.push(ip);
+            idx
+        });
+        self.memo[slot] = (ip, idx);
+        idx
+    }
 }
 
 fn pack(i: &Instr) -> (u64, u64) {
@@ -100,31 +206,85 @@ fn unpack(ip: u64, packed: u64) -> Instr {
     }
 }
 
+/// Bytes a `len`-record trace reserves: a 4-byte head and an 8-byte
+/// payload slot per record, plus a 4-byte count per 64-record block.
+/// The IP table (a few entries per stream) is excluded.
+fn reserved_bytes(len: usize) -> usize {
+    len * (4 + 8) + len.div_ceil(BLOCK) * 4
+}
+
 impl Trace {
     /// An empty trace.
     pub fn new() -> Self {
         Trace::default()
     }
 
+    /// An empty trace with room for `n` records. Payload slots are
+    /// reserved for every record so a capture never reallocates; the
+    /// slots of non-memory records are never written, so their pages
+    /// need not become resident.
+    fn with_capacity(n: usize) -> Self {
+        Trace {
+            ips: IpTable::default(),
+            heads: Vec::with_capacity(n),
+            payloads: Vec::with_capacity(n),
+            blocks: Vec::with_capacity(n.div_ceil(BLOCK)),
+        }
+    }
+
     /// Append one instruction.
     pub fn push(&mut self, i: &Instr) {
-        self.records.push(pack(i));
+        let (ip, packed) = pack(i);
+        self.push_packed(ip, packed);
+    }
+
+    /// Append one record in its on-disk form.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 2^32 memory records, which a block count cannot hold.
+    fn push_packed(&mut self, ip: u64, packed: u64) {
+        if self.heads.len().is_multiple_of(BLOCK) {
+            let before =
+                u32::try_from(self.payloads.len()).expect("trace exceeds 2^32 memory records");
+            self.blocks.push(before);
+        }
+        let mut head = self.ips.intern(ip);
+        if packed & FLAG_MEM != 0 {
+            head |= HEAD_MEM;
+            self.payloads.push(packed);
+        }
+        self.heads.push(head);
+    }
+
+    /// The instruction with head `head`, taking its payload (if it is
+    /// a memory op) at the cursor `pay` and advancing the cursor.
+    #[inline]
+    fn decode(&self, head: u32, pay: &mut usize) -> Instr {
+        let ip = self.ips.ips[(head & !HEAD_MEM) as usize];
+        if head & HEAD_MEM == 0 {
+            return Instr::alu(ip);
+        }
+        *pay += 1;
+        unpack(ip, self.payloads[*pay - 1])
     }
 
     /// Number of recorded instructions.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.heads.len()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.heads.is_empty()
     }
 
-    /// Approximate heap footprint of the recorded stream (16 bytes per
-    /// record), used to size the suite-wide trace cache.
+    /// Heap bytes the stream's records reserve, used to size the
+    /// suite-wide trace cache: 4 bytes of head and 8 of payload slot per
+    /// record plus 4 per 64-record block, as a function of
+    /// [`len`](Self::len) only. The few-entry IP table is excluded.
     pub fn size_bytes(&self) -> usize {
-        self.records.len() * 16
+        reserved_bytes(self.len())
     }
 
     /// The `idx`-th instruction.
@@ -133,8 +293,14 @@ impl Trace {
     ///
     /// Panics if `idx` is out of range.
     pub fn get(&self, idx: usize) -> Instr {
-        let (ip, packed) = self.records[idx];
-        unpack(ip, packed)
+        let head = self.heads[idx];
+        let start = idx - idx % BLOCK;
+        let mut pay = self.blocks[idx / BLOCK] as usize
+            + self.heads[start..idx]
+                .iter()
+                .filter(|&&h| h & HEAD_MEM != 0)
+                .count();
+        self.decode(head, &mut pay)
     }
 
     /// Serialize to a writer (16 bytes per record plus a 16-byte
@@ -145,8 +311,10 @@ impl Trace {
     /// Propagates I/O errors from the writer.
     pub fn to_writer<W: Write>(&self, mut w: W) -> io::Result<()> {
         w.write_all(&MAGIC)?;
-        w.write_all(&(self.records.len() as u64).to_le_bytes())?;
-        for &(ip, packed) in &self.records {
+        w.write_all(&(self.len() as u64).to_le_bytes())?;
+        let mut pay = 0;
+        for &head in &self.heads {
+            let (ip, packed) = pack(&self.decode(head, &mut pay));
             w.write_all(&ip.to_le_bytes())?;
             w.write_all(&packed.to_le_bytes())?;
         }
@@ -164,8 +332,9 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` on a bad magic, corrupt flag bits, or (via
-    /// `UnexpectedEof`) truncated input, and propagates I/O errors.
+    /// Returns `InvalidData` on a bad magic, corrupt flag bits, more
+    /// records than a [`Trace`] holds (2^31), or (via `UnexpectedEof`)
+    /// truncated input, and propagates I/O errors.
     pub fn from_reader<R: Read>(mut r: R) -> io::Result<Trace> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
@@ -178,10 +347,16 @@ impl Trace {
         let mut len8 = [0u8; 8];
         r.read_exact(&mut len8)?;
         let n = u64::from_le_bytes(len8) as usize;
-        let mut records = Vec::with_capacity(n.min(PREALLOC_CAP));
+        let mut t = Trace::with_capacity(n.min(PREALLOC_CAP));
         let mut rec = [0u8; 16];
         for idx in 0..n {
             r.read_exact(&mut rec)?;
+            if idx == MAX_RECORDS {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("more than {MAX_RECORDS} records"),
+                ));
+            }
             let ip = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
             let packed = u64::from_le_bytes(rec[8..].try_into().expect("8 bytes"));
             let bad = if packed & FLAG_MEM == 0 {
@@ -198,17 +373,32 @@ impl Trace {
                     format!("record {idx}: invalid flag bits {packed:#018x}"),
                 ));
             }
-            records.push((ip, packed));
+            t.push_packed(ip, packed);
         }
-        Ok(Trace { records })
+        Ok(t)
     }
 }
 
+/// Instructions [`capture`] pulls from the workload per
+/// [`Workload::next_batch`] call.
+const CAPTURE_BATCH: usize = 1024;
+
 /// Record the next `n` instructions of a workload.
+///
+/// The workload is pulled through [`Workload::next_batch`], which yields
+/// the same stream as `n` calls of `next_instr`, so the dynamic dispatch
+/// is paid once per [`CAPTURE_BATCH`] records.
 pub fn capture(wl: &mut dyn Workload, n: usize) -> Trace {
-    let mut t = Trace::new();
-    for _ in 0..n {
-        t.push(&wl.next_instr());
+    let mut t = Trace::with_capacity(n);
+    let mut buf = Vec::with_capacity(CAPTURE_BATCH);
+    let mut left = n;
+    while left > 0 {
+        let k = left.min(CAPTURE_BATCH);
+        wl.next_batch(&mut buf, k);
+        for i in &buf {
+            t.push(i);
+        }
+        left -= k;
     }
     t
 }
@@ -223,6 +413,8 @@ pub fn capture(wl: &mut dyn Workload, n: usize) -> Trace {
 pub struct TraceReplay {
     trace: Arc<Trace>,
     pos: usize,
+    /// Index of the next memory record's payload.
+    pay: usize,
 }
 
 impl TraceReplay {
@@ -242,7 +434,11 @@ impl TraceReplay {
     /// Panics if the trace is empty.
     pub fn shared(trace: Arc<Trace>) -> Self {
         assert!(!trace.is_empty(), "cannot replay an empty trace");
-        TraceReplay { trace, pos: 0 }
+        TraceReplay {
+            trace,
+            pos: 0,
+            pay: 0,
+        }
     }
 }
 
@@ -252,26 +448,36 @@ impl Workload for TraceReplay {
     }
 
     fn next_instr(&mut self) -> Instr {
-        let i = self.trace.get(self.pos);
-        self.pos = (self.pos + 1) % self.trace.len();
+        let t = &*self.trace;
+        let i = t.decode(t.heads[self.pos], &mut self.pay);
+        self.pos += 1;
+        if self.pos == t.len() {
+            self.pos = 0;
+            self.pay = 0;
+        }
         i
     }
 
-    /// Chunked decode: unpack contiguous record runs, splitting only at
-    /// the wrap point, instead of one bounds-checked `get` per record.
+    /// Chunked decode: walk contiguous head runs, splitting only at the
+    /// wrap point, instead of one bounds-checked `get` per record.
     fn next_batch(&mut self, out: &mut Vec<Instr>, n: usize) {
         out.clear();
         out.reserve(n);
-        let len = self.trace.len();
+        let t = &*self.trace;
+        let len = t.len();
         let mut remaining = n;
         while remaining > 0 {
             let take = remaining.min(len - self.pos);
-            for &(ip, packed) in &self.trace.records[self.pos..self.pos + take] {
-                out.push(unpack(ip, packed));
-            }
+            let pay = &mut self.pay;
+            out.extend(
+                t.heads[self.pos..self.pos + take]
+                    .iter()
+                    .map(|&head| t.decode(head, pay)),
+            );
             self.pos += take;
             if self.pos == len {
                 self.pos = 0;
+                self.pay = 0;
             }
             remaining -= take;
         }
@@ -405,10 +611,11 @@ impl TraceCache {
         self
     }
 
-    /// Estimated resident bytes of the stream `key` describes (exact
-    /// once captured: 16 bytes per instruction).
+    /// Bytes the stream `key` describes reserves once captured, equal
+    /// to its [`Trace::size_bytes`]: 12 bytes per instruction plus 4 per
+    /// 64 instructions.
     pub fn stream_bytes(key: StreamKey) -> usize {
-        key.len as usize * 16
+        reserved_bytes(key.len as usize)
     }
 
     /// Admission control: charge `owner` for every key in `keys` not
@@ -722,7 +929,7 @@ mod tests {
         let b = cache.get(key);
         assert!(Arc::ptr_eq(&a, &b), "same key must share one capture");
         assert_eq!(cache.streams(), 1);
-        assert_eq!(cache.footprint_bytes(), 300 * 16);
+        assert_eq!(cache.footprint_bytes(), TraceCache::stream_bytes(key));
 
         // A different seed is a different stream.
         let c = cache.get(StreamKey { seed: 43, ..key });
@@ -768,22 +975,23 @@ mod tests {
 
     #[test]
     fn budget_evicts_lru_unreferenced_streams() {
-        // Budget fits exactly two 100-instruction streams (1600 B each).
-        let cache = TraceCache::new().with_budget_bytes(2 * 1600);
         let key = |seed| StreamKey {
             bench: BenchmarkId::Pr,
             scale: Scale::Test,
             seed,
             len: 100,
         };
+        // Budget fits exactly two 100-instruction streams.
+        let per_stream = TraceCache::stream_bytes(key(0));
+        let cache = TraceCache::new().with_budget_bytes(2 * per_stream);
         let held = cache.get(key(0)); // keep a live reference
         drop(cache.get(key(1)));
         drop(cache.get(key(2)));
-        // Third stream pushed the footprint to 4800 B; key(0) is
+        // The third stream pushed the footprint over budget; key(0) is
         // referenced and key(2) was just used, so the LRU candidate is
         // key(1).
         assert_eq!(cache.streams(), 2);
-        assert_eq!(cache.footprint_bytes(), 2 * 1600);
+        assert_eq!(cache.footprint_bytes(), 2 * per_stream);
         assert_eq!(cache.stats().evictions, 1);
         // The held stream survived eviction…
         let again = cache.get(key(0));
@@ -802,34 +1010,39 @@ mod tests {
 
     #[test]
     fn owner_quota_rejects_and_cross_owner_hits_tally() {
-        let cache = TraceCache::new().with_owner_quota(2 * 1600);
         let key = |seed| StreamKey {
             bench: BenchmarkId::Mcf,
             scale: Scale::Test,
             seed,
             len: 100,
         };
+        let per_stream = TraceCache::stream_bytes(key(0));
+        let cache = TraceCache::new().with_owner_quota(2 * per_stream);
         // Tenant a fills its quota; a third stream is rejected with the
         // exact accounting in the error.
-        assert_eq!(cache.reserve("a", &[key(0), key(1)]), Ok(3200));
-        assert_eq!(cache.charged_bytes("a"), 3200);
+        assert_eq!(cache.reserve("a", &[key(0), key(1)]), Ok(2 * per_stream));
+        assert_eq!(cache.charged_bytes("a"), 2 * per_stream);
         let err = cache.reserve("a", &[key(2)]).unwrap_err();
         assert_eq!(
             err,
             CacheReject {
                 owner: "a".into(),
-                needed_bytes: 1600,
-                charged_bytes: 3200,
-                quota_bytes: 3200,
+                needed_bytes: per_stream,
+                charged_bytes: 2 * per_stream,
+                quota_bytes: 2 * per_stream,
             }
         );
         assert!(err.to_string().contains("over trace-cache quota"));
-        assert_eq!(cache.charged_bytes("a"), 3200, "rejection charges nothing");
+        assert_eq!(
+            cache.charged_bytes("a"),
+            2 * per_stream,
+            "rejection charges nothing"
+        );
         // Tenant b has its own quota, and re-reserving an already
         // resident stream is free — that is the cross-tenant sharing.
-        assert_eq!(cache.reserve("b", &[key(2)]), Ok(1600));
+        assert_eq!(cache.reserve("b", &[key(2)]), Ok(per_stream));
         assert_eq!(cache.reserve("b", &[key(0)]), Ok(0));
-        assert_eq!(cache.charged_bytes("b"), 1600);
+        assert_eq!(cache.charged_bytes("b"), per_stream);
         // a captures key(0) (miss), b then hits it cross-owner.
         drop(cache.get_owned("a", key(0)));
         drop(cache.get_owned("b", key(0)));
