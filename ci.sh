@@ -50,20 +50,12 @@ echo "==> harness scaling bench (harness_scaling --append)"
 # Suite wall-time at 1/2/4/8 workers, merged into the same trajectory
 # document (--append replaces same-name results, keeps the rest).
 # 3 samples so min/median are meaningful; --scaling-report prints the
-# w1-vs-w4 jobs/s ratio without gating (CI containers are single-core,
-# so a parallel speedup is not achievable there — see EXPERIMENTS.md).
+# w1-vs-w4 jobs/s ratio without gating (the CI host is a shared 2-vCPU
+# container, so the ratio moves with host load — see EXPERIMENTS.md).
 cargo bench --offline -p atc-harness --bench harness_scaling -- \
     --samples 3 --append --json "$PWD/BENCH_sim.json"
 cargo run --offline --release -p atc-bench --bin check_bench_json -- \
     --scaling-report BENCH_sim.json
-
-echo "==> serve bench (serve_roundtrip --append)"
-# Submit-to-complete latency through the resident daemon (protocol,
-# admission, durable queued record, scheduler dispatch, result fetch)
-# plus cold- vs warm-cache suite wall time, merged into the trajectory.
-cargo bench --offline -p atc-experiments --bench serve_roundtrip -- \
-    --samples 2 --append --json "$PWD/BENCH_sim.json"
-cargo run --offline --release -p atc-bench --bin check_bench_json -- BENCH_sim.json
 
 echo "==> suite smoke (full sweep catalog, checkpointed)"
 SUITE="cargo run --offline --release -p atc-experiments --bin suite --"
@@ -191,74 +183,5 @@ echo "==> telemetry smoke (telemetry_study --json target/telemetry_smoke.json)"
 cargo run --offline --release --example telemetry_study -- \
     --warmup 10000 --measure 60000 --json target/telemetry_smoke.json
 cargo run --offline --release -p atc-bench --bin check_bench_json -- target/telemetry_smoke.json
-
-echo "==> serve smoke (daemon kill -9 + restart, client byte-identity, tenants)"
-# The resident-service acceptance gate:
-#  1. daemon on --port 0 announces its ephemeral address on one stderr
-#     line (scraped below), with a stall fault parking base/* jobs;
-#  2. a suite client submits fig16 remotely, and once the tenant store
-#     shows completed records the daemon is killed -9 mid-sweep;
-#  3. a faultless daemon restarted on the same store recovers the
-#     queue, the client re-submits, and its stdout must be
-#     byte-identical to the in-process fig16 reference;
-#  4. a second tenant runs fig14 on the same daemon — its jobs reuse
-#     the streams fig16 captured, so the server's cross-tenant
-#     cache-hit tally must be nonzero and per-tenant stores separate;
-#  5. the wire log (spanning both daemon processes) must pass
-#     check_bench_json --serve-log: sealed envelopes, sequence monotone
-#     across the restart.
-cargo build --offline --release -q -p atc-experiments --bin serve
-rm -rf target/ci-serve-store target/ci-serve-log.jsonl target/ci-serve.err
-$SUITE $SUITE_FLAGS --figures fig16 --jobs 2 \
-    --manifest target/ci-serve-ref.jsonl > target/ci-serve-ref.out
-rm -f target/ci-serve-ref.jsonl
-target/release/serve $SUITE_FLAGS --figures fig14,fig16 --jobs 2 \
-    --fault-plan "42:stall30000@key=base/" \
-    --port 0 --store target/ci-serve-store \
-    --serve-log target/ci-serve-log.jsonl 2> target/ci-serve.err &
-SERVE_PID=$!
-tries=0
-until grep -q "atc-serve listening on " target/ci-serve.err 2>/dev/null; do
-    tries=$((tries + 1))
-    [ "$tries" -le 600 ] || { echo "serve never announced its address"; exit 1; }
-    sleep 0.1
-done
-ADDR=$(sed -n 's/^atc-serve listening on //p' target/ci-serve.err | head -1)
-target/release/suite $SUITE_FLAGS --figures fig16 --server "$ADDR" \
-    --tenant ci > /dev/null 2>&1 &
-CLIENT_PID=$!
-tries=0
-until grep -q '"status":"ok"' target/ci-serve-store/ci.jsonl 2>/dev/null; do
-    tries=$((tries + 1))
-    [ "$tries" -le 1200 ] || { echo "tenant store never progressed"; exit 1; }
-    sleep 0.1
-done
-kill -9 "$SERVE_PID"
-wait "$SERVE_PID" 2>/dev/null || true
-wait "$CLIENT_PID" 2>/dev/null || true
-target/release/serve $SUITE_FLAGS --figures fig14,fig16 --jobs 2 \
-    --port 0 --store target/ci-serve-store \
-    --serve-log target/ci-serve-log.jsonl 2> target/ci-serve2.err &
-SERVE_PID=$!
-tries=0
-until grep -q "atc-serve listening on " target/ci-serve2.err 2>/dev/null; do
-    tries=$((tries + 1))
-    [ "$tries" -le 600 ] || { echo "restarted serve never announced"; exit 1; }
-    sleep 0.1
-done
-ADDR=$(sed -n 's/^atc-serve listening on //p' target/ci-serve2.err | head -1)
-$SUITE $SUITE_FLAGS --figures fig16 --server "$ADDR" --tenant ci --check \
-    > target/ci-serve.out
-diff target/ci-serve-ref.out target/ci-serve.out
-$SUITE $SUITE_FLAGS --figures fig14 --server "$ADDR" --tenant ci2 --check \
-    > /dev/null
-target/release/serve --connect "$ADDR" --status > target/ci-serve-status.txt
-grep -q "^tenants 2$" target/ci-serve-status.txt
-CROSS=$(sed -n 's/^cache\.cross_tenant_hits //p' target/ci-serve-status.txt)
-[ "$CROSS" -ge 1 ] || { echo "no cross-tenant cache reuse (got $CROSS)"; exit 1; }
-target/release/serve --connect "$ADDR" --shutdown
-wait "$SERVE_PID"
-cargo run --offline --release -p atc-bench --bin check_bench_json -- \
-    --serve-log target/ci-serve-log.jsonl
 
 echo "CI OK"

@@ -7,22 +7,17 @@
 //! via [`atc_bench::stream::check_stream`] (checksums, contiguous
 //! epochs, and exact delta-sum reconciliation against the final
 //! cumulative snapshot); `--min-epochs N` additionally requires at
-//! least N epoch lines. With `--serve-log` the file is an `atc-serve-v1`
-//! daemon message log, validated via
-//! [`atc_bench::stream::check_serve_log`] (sealed envelopes, strictly
-//! monotone sequence numbers even across daemon restarts, and validly
-//! sealed wrapped wire lines).
+//! least N epoch lines.
 //!
 //! ```text
 //! cargo run -p atc-bench --bin check_bench_json -- BENCH_sim.json
 //! cargo run -p atc-bench --bin check_bench_json -- --stream --min-epochs 4 telemetry.jsonl
-//! cargo run -p atc-bench --bin check_bench_json -- --serve-log serve-log.jsonl
 //! ```
 
 use std::process::ExitCode;
 
 use atc_bench::json::{self, Value};
-use atc_bench::stream::{check_serve_log, check_stream};
+use atc_bench::stream::check_stream;
 use atc_bench::telemetry::{check_telemetry, TELEMETRY_SCHEMA};
 
 fn check(path: &str) -> Result<String, String> {
@@ -293,7 +288,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let report = args.iter().any(|a| a == "--scaling-report");
     let stream = args.iter().any(|a| a == "--stream");
-    let serve_log = args.iter().any(|a| a == "--serve-log");
     let min_epochs = match args.iter().position(|a| a == "--min-epochs") {
         Some(i) => match args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) {
             Some(n) => n,
@@ -312,20 +306,15 @@ fn main() -> ExitCode {
     let Some(path) = args.iter().find(positional) else {
         eprintln!(
             "usage: check_bench_json [--scaling-report] [--stream [--min-epochs N]] \
-             [--serve-log] [--min-ratio name:rate:mult] <file>"
+             [--min-ratio name:rate:mult] <file>"
         );
         return ExitCode::from(2);
     };
-    if stream || serve_log {
+    if stream {
         return match std::fs::read_to_string(path)
             .map_err(|e| format!("could not read {path}: {e}"))
-            .and_then(|text| {
-                if serve_log {
-                    check_serve_log(&text)
-                } else {
-                    check_stream(&text, min_epochs)
-                }
-            }) {
+            .and_then(|text| check_stream(&text, min_epochs))
+        {
             Ok(what) => {
                 println!("{path}: ok ({what})");
                 ExitCode::SUCCESS

@@ -21,6 +21,16 @@ pub mod trace_event;
 
 use std::time::{Duration, Instant};
 
+/// 64-bit FNV-1a of `bytes`: the workspace's one persisted hash (job
+/// keys, manifest and telemetry-stream checksums, fault-plan dice,
+/// pinned test digests). Unlike `DefaultHasher` it is stable across
+/// platforms and releases, which matters for values written to disk.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// One benchmark measurement: sorted-sample timing statistics plus the
 /// optional per-iteration element count for throughput benches.
 #[derive(Debug, Clone)]

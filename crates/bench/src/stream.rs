@@ -21,44 +21,21 @@
 //! the telescoping invariant — per-counter delta sums must reproduce the
 //! final cumulative snapshot exactly. `check_bench_json --stream` gates
 //! CI on it.
-//!
-//! The serve daemon's wire protocol reuses the same sealing: every
-//! `atc-serve-v1` message is a sealed object, and the daemon's message
-//! log wraps each wire line in a sealed envelope with a globally
-//! monotone sequence number ([`check_serve_log`], gated by
-//! `check_bench_json --serve-log`).
 
+use crate::fnv1a;
 use crate::json::{self, Value};
 
 /// Schema identifier in the stream header line.
 pub const STREAM_SCHEMA: &str = "atc-telemetry-stream-v1";
 
-/// Schema identifier for the serve daemon's wire protocol and message
-/// log (defined here because `atc-bench` sits below `atc-serve` in the
-/// crate graph, and the log checker must not depend on the daemon).
-pub const SERVE_SCHEMA: &str = "atc-serve-v1";
-
-/// FNV-1a over the line body — the same checksum the v2 manifest uses,
-/// reimplemented here because `atc-bench` sits below the harness.
-fn fnv64(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Render `doc` (must be an object) as one sealed line: the object with
 /// a trailing `"ck"` member holding the FNV-1a hash of everything
-/// before it.
+/// before it. The v2 job manifest seals its records with this too.
 pub fn seal(doc: &Value) -> String {
     let body = doc.render();
     debug_assert!(body.ends_with('}'), "seal() takes an object");
     let trunk = &body[..body.len() - 1];
-    format!("{trunk},\"ck\":\"{:016x}\"}}", fnv64(trunk.as_bytes()))
+    format!("{trunk},\"ck\":\"{:016x}\"}}", fnv1a(trunk.as_bytes()))
 }
 
 /// Verify and strip a sealed line's checksum, returning the parsed
@@ -71,7 +48,7 @@ pub fn seal(doc: &Value) -> String {
 pub fn unseal(line: &str) -> Result<Value, String> {
     let at = line.rfind(",\"ck\":\"").ok_or("line has no checksum")?;
     let trunk = &line[..at];
-    let want = format!("{trunk},\"ck\":\"{:016x}\"}}", fnv64(trunk.as_bytes()));
+    let want = format!("{trunk},\"ck\":\"{:016x}\"}}", fnv1a(trunk.as_bytes()));
     if want != line {
         return Err("checksum mismatch".to_string());
     }
@@ -236,68 +213,6 @@ pub fn check_stream(text: &str, min_epochs: u64) -> Result<String, String> {
     ))
 }
 
-/// Validate an `atc-serve-v1` message log: one sealed envelope per
-/// line, each wrapping one verbatim wire line.
-///
-/// Checks every envelope's checksum and schema, that the `seq` numbers
-/// are strictly increasing across the whole file (a restarted daemon
-/// resumes from the highest persisted seq, so monotonicity must hold
-/// even across restarts — gaps are fine, regressions are not), that
-/// `dir` is `rx` or `tx`, and that the wrapped `line` is itself a
-/// validly sealed object (protocol messages and relayed telemetry lines
-/// alike).
-///
-/// Returns a human-readable summary on success.
-///
-/// # Errors
-///
-/// A message naming the first offending line and defect, or an error on
-/// an empty log.
-pub fn check_serve_log(text: &str) -> Result<String, String> {
-    let mut last_seq: i64 = -1;
-    let mut rx = 0u64;
-    let mut tx = 0u64;
-    for (i, line) in text.lines().enumerate().filter(|(_, l)| !l.is_empty()) {
-        let n = i + 1;
-        let doc = unseal(line).map_err(|e| format!("line {n}: {e}"))?;
-        match doc.get("schema").and_then(Value::as_str) {
-            Some(s) if s == SERVE_SCHEMA => {}
-            other => return Err(format!("line {n}: schema {other:?}, want {SERVE_SCHEMA:?}")),
-        }
-        let seq = integer(doc.get("seq").unwrap_or(&Value::Null), "seq")
-            .map_err(|e| format!("line {n}: {e}"))?;
-        if seq <= last_seq {
-            return Err(format!(
-                "line {n}: seq {seq} is not strictly increasing (last {last_seq})"
-            ));
-        }
-        last_seq = seq;
-        integer(doc.get("conn").unwrap_or(&Value::Null), "conn")
-            .map_err(|e| format!("line {n}: {e}"))?;
-        match doc.get("dir").and_then(Value::as_str) {
-            Some("rx") => rx += 1,
-            Some("tx") => tx += 1,
-            other => {
-                return Err(format!(
-                    "line {n}: dir {other:?} is neither \"rx\" nor \"tx\""
-                ))
-            }
-        }
-        let wire = doc
-            .get("line")
-            .and_then(Value::as_str)
-            .ok_or(format!("line {n}: missing \"line\" string"))?;
-        unseal(wire).map_err(|e| format!("line {n}: wrapped wire line: {e}"))?;
-    }
-    if last_seq < 0 {
-        return Err("serve log is empty".to_string());
-    }
-    Ok(format!(
-        "{} messages ({rx} rx, {tx} tx), seq monotone to {last_seq}",
-        rx + tx
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,72 +291,5 @@ mod tests {
     fn unseal_tamper(line: &str) -> Value {
         let at = line.rfind(",\"ck\":\"").expect("sealed line");
         json::parse(&format!("{}}}", &line[..at])).expect("object")
-    }
-
-    fn serve_log_line(seq: u64, conn: u64, dir: &str, wire: &str) -> String {
-        seal(&Value::Object(vec![
-            ("schema".into(), Value::String(SERVE_SCHEMA.into())),
-            ("seq".into(), Value::Number(seq as f64)),
-            ("conn".into(), Value::Number(conn as f64)),
-            ("dir".into(), Value::String(dir.into())),
-            ("line".into(), Value::String(wire.into())),
-        ]))
-    }
-
-    #[test]
-    fn valid_serve_log_passes_with_gaps_but_not_regressions() {
-        let wire = seal(&Value::Object(vec![(
-            "op".into(),
-            Value::String("status".into()),
-        )]));
-        // Gapped seq (a restart skipped numbers) is fine.
-        let log = format!(
-            "{}\n{}\n{}\n",
-            serve_log_line(0, 1, "rx", &wire),
-            serve_log_line(1, 1, "tx", &wire),
-            serve_log_line(5, 2, "rx", &wire),
-        );
-        let summary = check_serve_log(&log).expect("valid log");
-        assert!(summary.contains("3 messages (2 rx, 1 tx)"), "{summary}");
-        assert!(summary.contains("monotone to 5"), "{summary}");
-
-        // A seq regression is rejected.
-        let bad = format!(
-            "{}\n{}\n",
-            serve_log_line(3, 1, "rx", &wire),
-            serve_log_line(3, 1, "tx", &wire),
-        );
-        let err = check_serve_log(&bad).unwrap_err();
-        assert!(err.contains("strictly increasing"), "{err}");
-
-        assert!(check_serve_log("").unwrap_err().contains("empty"));
-    }
-
-    #[test]
-    fn serve_log_rejects_damage_at_both_layers() {
-        let wire = seal(&Value::Object(vec![(
-            "op".into(),
-            Value::String("submit".into()),
-        )]));
-        let good = serve_log_line(0, 1, "rx", &wire);
-        // Envelope bit-flip.
-        let err = check_serve_log(&good.replace("\"conn\":1", "\"conn\":2")).unwrap_err();
-        assert!(err.contains("checksum"), "{err}");
-        // Bad direction.
-        let bad_dir = serve_log_line(0, 1, "sideways", &wire);
-        let err = check_serve_log(&bad_dir).unwrap_err();
-        assert!(err.contains("dir"), "{err}");
-        // Wrapped wire line damaged (valid envelope, corrupt payload).
-        let torn_wire = &wire[..wire.len() - 4];
-        let bad_wire = serve_log_line(0, 1, "tx", torn_wire);
-        let err = check_serve_log(&bad_wire).unwrap_err();
-        assert!(err.contains("wrapped wire line"), "{err}");
-        // Wrong schema.
-        let other = seal(&Value::Object(vec![
-            ("schema".into(), Value::String("atc-other-v1".into())),
-            ("seq".into(), Value::Number(0.0)),
-        ]));
-        let err = check_serve_log(&other).unwrap_err();
-        assert!(err.contains("schema"), "{err}");
     }
 }

@@ -15,7 +15,6 @@
 //!       [--flush-every N] [--fsync] [--retry-failed]
 //!       [--progress[=INTERVAL]] [--telemetry-out PATH]
 //!       [--stream-epochs N] [--trace-out PATH]
-//!       [--server ADDR] [--tenant NAME]
 //! ```
 //!
 //! * `--manifest PATH`   checkpoint file (default `suite-manifest.jsonl`)
@@ -50,14 +49,6 @@
 //! * `--trace-out PATH`  export the job lifecycle timeline (claim /
 //!   start / retry / timeout / cancel / finish / fault / flush, one
 //!   track per worker) as Chrome/Perfetto trace-event JSON
-//! * `--server ADDR`     client mode: submit the sweep catalog to a
-//!   resident `atc-serve` daemon instead of executing locally, then
-//!   render the same tables from the returned records — stdout stays
-//!   byte-identical to an in-process run. Local execution flags
-//!   (`--manifest`, `--fault-plan`, ...) are the *server's* business
-//!   and are ignored in client mode.
-//! * `--tenant NAME`     tenant identity for `--server` submissions
-//!   (default `suite`)
 //!
 //! Tables go to stdout; progress, timing, and the end-of-run fault
 //! tally go to stderr — stdout stays byte-identical across resumes,
@@ -71,21 +62,13 @@ use std::time::{Duration, Instant};
 
 use atc_bench::json::Value;
 use atc_bench::trace_event::TraceEvents;
-use atc_experiments::sweeps::{
-    build_jobs, catalog, render_sweep, sweeps, Budget, SweepDef, SweepJob,
-};
+use atc_experiments::sweeps::{build_jobs, catalog, render_sweep, sweeps, Budget, SweepDef};
 use atc_experiments::{Checks, Opts};
 use atc_harness::{
     run_with_manifest_opts, EventLog, FaultPlan, JobEvent, JobEventKind, Manifest, Metrics,
-    Progress, Record, Sampler, Scheduler, StreamOptions, SweepOptions, MANIFEST_WORKER,
+    Progress, Sampler, Scheduler, StreamOptions, SweepOptions, MANIFEST_WORKER,
 };
-use atc_serve::{Client, Reply};
 use atc_workloads::trace::TraceCache;
-
-/// Backpressure retries per submit in `--server` mode; each retry
-/// sleeps the server's `retry_after_ms` hint, so this bounds how long a
-/// client waits out a full queue before giving up.
-const CLIENT_SUBMIT_RETRIES: u32 = 200;
 
 #[derive(Debug)]
 struct SuiteArgs {
@@ -105,8 +88,6 @@ struct SuiteArgs {
     telemetry_out: Option<String>,
     stream_epochs: u64,
     trace_out: Option<String>,
-    server: Option<String>,
-    tenant: String,
 }
 
 impl Default for SuiteArgs {
@@ -128,8 +109,6 @@ impl Default for SuiteArgs {
             telemetry_out: None,
             stream_epochs: 4,
             trace_out: None,
-            server: None,
-            tenant: "suite".to_string(),
         }
     }
 }
@@ -201,8 +180,6 @@ fn split_args(args: impl Iterator<Item = String>) -> Result<(SuiteArgs, Vec<Stri
                 suite.stream_epochs = numeric("--stream-epochs", value("--stream-epochs")?)?
             }
             "--trace-out" => suite.trace_out = Some(value("--trace-out")?),
-            "--server" => suite.server = Some(value("--server")?),
-            "--tenant" => suite.tenant = value("--tenant")?,
             _ => rest.push(a),
         }
     }
@@ -294,182 +271,6 @@ fn write_trace(path: &str, log: &EventLog) -> std::io::Result<usize> {
     Ok(n)
 }
 
-/// `--server` client mode: submit the sweep catalog to a resident
-/// daemon, optionally stream live telemetry over the same connection,
-/// block for the terminal records, and render the identical tables the
-/// in-process path renders — stdout is byte-for-byte the same because
-/// both paths feed [`render_sweep`] from recorded [`Metrics`] only.
-fn run_client(
-    addr: &str,
-    suite: &SuiteArgs,
-    opts: &Opts,
-    defs: &[SweepDef],
-    budget: Budget,
-    jobs: &[(String, SweepJob)],
-) -> ExitCode {
-    let keys: Vec<String> = jobs.iter().map(|(k, _)| k.clone()).collect();
-    let mut client = match Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot connect to server {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!(
-        "suite: submitting {} job(s) to {addr} as tenant {:?}",
-        keys.len(),
-        suite.tenant
-    );
-    for key in &keys {
-        match client.submit_with_retry(&suite.tenant, key, CLIENT_SUBMIT_RETRIES) {
-            Ok(Reply::Submit { accepted: true, .. }) => {}
-            Ok(Reply::Submit { reason, .. }) => {
-                eprintln!("error: server rejected {key}: {reason}");
-                return ExitCode::FAILURE;
-            }
-            Ok(other) => {
-                eprintln!("error: unexpected submit reply: {other:?}");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("error: submit {key}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if suite.telemetry_out.is_some() || suite.progress.is_some() {
-        let mut file = match &suite.telemetry_out {
-            Some(path) => match std::fs::File::create(path) {
-                Ok(f) => Some(f),
-                Err(e) => {
-                    eprintln!("error: cannot write telemetry file {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
-        };
-        let live = suite.progress.is_some();
-        let mut write_err: Option<String> = None;
-        let epochs = client.subscribe(&suite.tenant, &keys, &mut |line| {
-            if let Some(f) = &mut file {
-                use std::io::Write as _;
-                if let Err(e) = writeln!(f, "{line}") {
-                    write_err.get_or_insert(e.to_string());
-                }
-            }
-            if live {
-                eprintln!("suite: telemetry: {line}");
-            }
-        });
-        match (epochs, write_err) {
-            (Err(e), _) => {
-                eprintln!("error: subscribe failed: {e}");
-                return ExitCode::FAILURE;
-            }
-            (_, Some(e)) => {
-                eprintln!("error: telemetry write failed: {e}");
-                return ExitCode::FAILURE;
-            }
-            (Ok(n), None) => {
-                if let Some(path) = &suite.telemetry_out {
-                    eprintln!("suite: telemetry stream: {n} epoch(s) -> {path}");
-                }
-            }
-        }
-    }
-    let (lines, missing) = match client.results(&suite.tenant, &keys, true) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("error: results failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !missing.is_empty() {
-        eprintln!(
-            "error: server has no record for {} job(s): {}",
-            missing.len(),
-            missing.join(", ")
-        );
-        return ExitCode::FAILURE;
-    }
-    let mut records: Vec<Record> = Vec::with_capacity(lines.len());
-    for line in &lines {
-        match Record::from_json_line(line) {
-            Ok(r) => records.push(r),
-            Err(e) => {
-                eprintln!("error: bad record line from server: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Ok(counts) = client.status() {
-        let get = |name: &str| {
-            counts
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
-        eprintln!(
-            "suite: server: {} execution(s) total, {} stream(s) resident \
-             ({} cache hit(s), {} cross-tenant), {} tenant(s)",
-            get("executions"),
-            get("cache.streams"),
-            get("cache.hits"),
-            get("cache.cross_tenant_hits"),
-            get("tenants"),
-        );
-    }
-    let failed: Vec<&Record> = records.iter().filter(|r| !r.is_ok()).collect();
-    for r in &failed {
-        eprintln!(
-            "suite: {} job {}: {}",
-            r.status,
-            r.key,
-            r.error.as_deref().unwrap_or("unknown error"),
-        );
-    }
-    let ok_metrics: HashMap<&str, &Metrics> = records
-        .iter()
-        .filter(|r| r.is_ok())
-        .map(|r| (r.key.as_str(), &r.metrics))
-        .collect();
-    let lookup = |key: &str| ok_metrics.get(key).copied();
-    for def in defs {
-        let table = render_sweep(def, &opts.benchmarks, budget, &lookup);
-        opts.emit(def.title, &table);
-    }
-    if !opts.check {
-        return if failed.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    let mut checks = Checks::new();
-    checks.claim(
-        records.len() == jobs.len(),
-        &format!(
-            "every job has a server record ({}/{})",
-            records.len(),
-            jobs.len()
-        ),
-    );
-    for r in &failed {
-        checks.claim(
-            false,
-            &format!(
-                "job {} {}: {}",
-                r.key,
-                r.status,
-                r.error.as_deref().unwrap_or("unknown error"),
-            ),
-        );
-    }
-    checks.claim(!ok_metrics.is_empty(), "at least one job produced metrics");
-    checks.finish()
-}
-
 fn select_figures(figures: Option<&[String]>) -> Result<Vec<SweepDef>, String> {
     let all = sweeps();
     let Some(wanted) = figures else {
@@ -510,7 +311,7 @@ fn main() -> ExitCode {
                  [--max-jobs N] [--assert-executed N] [--fault-plan SEED:SPEC] \
                  [--deadline-ms N] [--backoff-ms N] [--flush-every N] [--fsync] \
                  [--retry-failed] [--progress[=INTERVAL]] [--telemetry-out PATH] \
-                 [--stream-epochs N] [--trace-out PATH] [--server ADDR] [--tenant NAME]"
+                 [--stream-epochs N] [--trace-out PATH]"
             );
             return ExitCode::from(2);
         }
@@ -542,10 +343,6 @@ fn main() -> ExitCode {
         if jobs.len() < total {
             eprintln!("suite: --max-jobs capped {total} jobs to {}", jobs.len());
         }
-    }
-
-    if let Some(addr) = suite.server.clone() {
-        return run_client(&addr, &suite, &opts, &defs, budget, &jobs);
     }
 
     let fault = match suite.fault_plan.as_deref().map(FaultPlan::parse) {

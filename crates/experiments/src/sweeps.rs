@@ -377,29 +377,12 @@ impl SweepJob {
     /// partial statistics salvaged when the machine had started
     /// executing.
     pub fn run(&self, traces: &TraceCache, cancel: &CancelToken) -> Result<Metrics, JobError> {
-        self.run_as("", traces, cancel)
-    }
-
-    /// [`run`](Self::run) with the trace-cache accesses attributed to
-    /// `owner` — the serve daemon passes the submitting tenant here so
-    /// the shared cache can tally cross-tenant hits and charge
-    /// residency quotas (see [`TraceCache::get_owned`]).
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`run`](Self::run).
-    pub fn run_as(
-        &self,
-        owner: &str,
-        traces: &TraceCache,
-        cancel: &CancelToken,
-    ) -> Result<Metrics, JobError> {
         let streams = self.streams();
         match self {
             SweepJob::Single { cfg, budget, .. } => {
                 match run_one_replay_cancel(
                     cfg,
-                    traces.get_owned(owner, streams[0]),
+                    traces.get(streams[0]),
                     budget.warmup,
                     budget.measure,
                     cancel,
@@ -419,8 +402,8 @@ impl SweepJob {
                 }
             }
             SweepJob::Smt { cfg, budget, .. } => {
-                let mut w0 = traces.replay_owned(owner, streams[0]);
-                let mut w1 = traces.replay_owned(owner, streams[1]);
+                let mut w0 = traces.replay(streams[0]);
+                let mut w1 = traces.replay(streams[1]);
                 let stats = run_smt_cancellable(
                     cfg,
                     &mut w0,
@@ -440,7 +423,7 @@ impl SweepJob {
             SweepJob::Multicore { cfg, budget, .. } => {
                 let mut wls: Vec<Box<dyn Workload>> = streams
                     .iter()
-                    .map(|&k| Box::new(traces.replay_owned(owner, k)) as Box<dyn Workload>)
+                    .map(|&k| Box::new(traces.replay(k)) as Box<dyn Workload>)
                     .collect();
                 let cores = run_multicore_cancellable(
                     cfg,

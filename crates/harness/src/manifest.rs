@@ -47,7 +47,8 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use atc_bench::json::{parse, Value};
+use atc_bench::json::Value;
+use atc_bench::stream::{seal, unseal};
 
 use crate::events::{EventLog, JobEventKind, MANIFEST_WORKER};
 use crate::fault::FaultPlan;
@@ -139,15 +140,13 @@ impl<const N: usize> From<[(&str, f64); N]> for Metrics {
 /// Manifest line format version written by this crate.
 const MANIFEST_VERSION: f64 = 2.0;
 
-/// One manifest line: a job's terminal outcome — or, in a serve-style
-/// job store, its queued admission.
+/// One manifest line: a job's terminal outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// The job's deterministic key.
     pub key: String,
-    /// `"ok"`, `"failed"`, or `"panicked"` for terminal outcomes;
-    /// `"queued"` (admitted, not yet executed) and `"cancelled"` extend
-    /// the store for the serve daemon's durable queue.
+    /// `"ok"`, `"failed"`, or `"panicked"`; a line with any other
+    /// status fails to parse, so its job re-executes on resume.
     pub status: String,
     /// Attempts consumed.
     pub attempts: u32,
@@ -164,36 +163,6 @@ impl Record {
     /// Whether the job completed successfully.
     pub fn is_ok(&self) -> bool {
         self.status == "ok"
-    }
-
-    /// Whether this record is a queued admission (not yet executed) —
-    /// the serve daemon's restart recovery re-enqueues these.
-    pub fn is_queued(&self) -> bool {
-        self.status == "queued"
-    }
-
-    /// A queued admission record for `key` (no attempts, no metrics).
-    pub fn queued(key: &str) -> Record {
-        Record {
-            key: key.to_string(),
-            status: "queued".to_string(),
-            attempts: 0,
-            wall_micros: 0,
-            metrics: Metrics::new(),
-            error: None,
-        }
-    }
-
-    /// A cancelled record for `key`: terminal, never executed.
-    pub fn cancelled(key: &str) -> Record {
-        Record {
-            key: key.to_string(),
-            status: "cancelled".to_string(),
-            attempts: 0,
-            wall_micros: 0,
-            metrics: Metrics::new(),
-            error: Some("cancelled before execution".to_string()),
-        }
     }
 
     /// Convert a scheduler [`JobRun`] into a manifest record, salvaging
@@ -232,7 +201,7 @@ impl Record {
             Some(msg) => Value::String(msg.clone()),
             None => Value::Null,
         };
-        let body = Value::Object(vec![
+        seal(&Value::Object(vec![
             ("v".into(), Value::Number(MANIFEST_VERSION)),
             ("key".into(), Value::String(self.key.clone())),
             (
@@ -244,12 +213,7 @@ impl Record {
             ("wall_us".into(), Value::Number(self.wall_micros as f64)),
             ("metrics".into(), self.metrics.to_json()),
             ("error".into(), error),
-        ])
-        .render();
-        // Splice the checksum in as the final member: everything up to
-        // (and excluding) the closing brace is the checksummed trunk.
-        let trunk = &body[..body.len() - 1];
-        format!("{trunk},\"ck\":\"{:016x}\"}}", key_hash(trunk))
+        ]))
     }
 
     /// Parse one checksummed manifest line.
@@ -260,16 +224,7 @@ impl Record {
     /// JSON, an unsupported version (including pre-checksum `v:1`
     /// lines), a key/hash mismatch, or missing fields.
     pub fn from_json_line(line: &str) -> Result<Record, String> {
-        let ck_at = line.rfind(",\"ck\":\"").ok_or("missing checksum")?;
-        let trunk = &line[..ck_at];
-        let ck_hex = line[ck_at + 7..]
-            .strip_suffix("\"}")
-            .ok_or("malformed checksum suffix")?;
-        let ck = u64::from_str_radix(ck_hex, 16).map_err(|_| "checksum is not hex")?;
-        if ck != key_hash(trunk) {
-            return Err("checksum mismatch (record damaged)".into());
-        }
-        let v = parse(&format!("{trunk}}}"))?;
+        let v = unseal(line)?;
         let version = v.get("v").and_then(Value::as_f64).ok_or("missing v")?;
         if version != MANIFEST_VERSION {
             return Err(format!("unsupported manifest version {version}"));
@@ -291,10 +246,7 @@ impl Record {
             .get("status")
             .and_then(Value::as_str)
             .ok_or("missing status")?;
-        if !matches!(
-            status,
-            "ok" | "failed" | "panicked" | "queued" | "cancelled"
-        ) {
+        if !matches!(status, "ok" | "failed" | "panicked") {
             return Err(format!("unknown status {status:?}"));
         }
         let attempts = v
@@ -907,6 +859,33 @@ mod tests {
     }
 
     #[test]
+    fn record_line_bytes_are_pinned() {
+        // Manifests outlive the process: the exact bytes, checksum
+        // included, must not move when the rendering code does.
+        let mut metrics = Metrics::new();
+        metrics.push("ipc", 2.0 / 3.0);
+        metrics.push("llc_mpki", 11.3);
+        let r = Record {
+            key: "tempo/mcf/s42/test/w1000/m10000".into(),
+            status: "failed".into(),
+            attempts: 2,
+            wall_micros: 123_456,
+            metrics,
+            error: Some("deadlock: \"stuck\"".into()),
+        };
+        let line = r.to_json_line();
+        assert_eq!(
+            line,
+            "{\"v\":2,\"key\":\"tempo/mcf/s42/test/w1000/m10000\",\
+             \"hash\":\"7ca7541390443714\",\"status\":\"failed\",\"attempts\":2,\
+             \"wall_us\":123456,\"metrics\":{\"ipc\":0.6666666666666666,\
+             \"llc_mpki\":11.3},\"error\":\"deadlock: \\\"stuck\\\"\",\
+             \"ck\":\"57c7615d70f4b98c\"}"
+        );
+        assert_eq!(Record::from_json_line(&line), Ok(r));
+    }
+
+    #[test]
     fn checksum_rejects_any_single_byte_damage() {
         let good = record("a/b/s1/test/w1/m2", "ok", Some(1.0)).to_json_line();
         assert!(Record::from_json_line(&good).is_ok());
@@ -1076,25 +1055,35 @@ mod tests {
     }
 
     #[test]
-    fn queued_and_cancelled_records_round_trip() {
-        let q = Record::queued("serve/job/a");
-        assert!(q.is_queued() && !q.is_ok());
-        let parsed = Record::from_json_line(&q.to_json_line()).unwrap();
-        assert_eq!(parsed, q);
-        let c = Record::cancelled("serve/job/a");
-        assert!(!c.is_queued() && !c.is_ok());
-        let parsed = Record::from_json_line(&c.to_json_line()).unwrap();
-        assert_eq!(parsed, c);
-        // The durable queue persists through the normal store path.
-        let tmp = temp_manifest("queued");
-        {
-            let mut m = Manifest::open(&tmp.0, false).unwrap();
-            m.append(Record::queued("j1")).unwrap();
-            m.append(Record::queued("j2")).unwrap();
+    fn sealed_lines_with_unknown_status_are_corrupt_and_rerun() {
+        // A correctly sealed line whose status is not a terminal job
+        // outcome is damage, not a record: resume must re-run its job
+        // rather than treat it as done.
+        for status in ["queued", "cancelled", "bogus"] {
+            let line = record("job1", status, None).to_json_line();
+            let err = Record::from_json_line(&line).unwrap_err();
+            assert!(err.contains("unknown status"), "{status}: {err}");
+
+            let tmp = temp_manifest(&format!("status-{status}"));
+            let good = record("job0", "ok", Some(0.0)).to_json_line();
+            std::fs::write(&tmp.0, format!("{good}\n{line}\n")).unwrap();
+            let mut manifest = Manifest::open(&tmp.0, true).unwrap();
+            assert_eq!(manifest.recovery().corrupt, 1, "{status}");
+            assert!(!manifest.contains("job1"), "{status}");
+
+            let jobs: Vec<(String, u64)> = (0..2).map(|i| (format!("job{i}"), i)).collect();
+            let run = |_k: &str, i: &u64, _ctx: &JobCtx| Ok(Metrics::from([("x", *i as f64)]));
+            let out = run_with_manifest(
+                &Scheduler::new(1),
+                &Progress::new(),
+                &mut manifest,
+                &jobs,
+                run,
+            )
+            .unwrap();
+            assert_eq!((out.executed, out.resumed), (1, 1), "{status}");
+            assert!(out.records.iter().all(Record::is_ok), "{status}");
         }
-        let m = Manifest::open(&tmp.0, true).unwrap();
-        assert!(m.get("j1").unwrap().is_queued());
-        assert!(m.get("j2").unwrap().is_queued());
     }
 
     #[test]

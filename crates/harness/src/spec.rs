@@ -21,14 +21,7 @@ use atc_workloads::{BenchmarkId, Scale};
 /// `DefaultHasher`), which matters because hashes are persisted in
 /// `manifest.jsonl` files that outlive the process.
 pub fn key_hash(key: &str) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    atc_bench::fnv1a(key.as_bytes())
 }
 
 /// The deterministic identity of one simulation job.

@@ -11,12 +11,7 @@
 //!   end;
 //! * [`TraceCache`] captures each distinct (benchmark, scale, seed,
 //!   length) stream exactly once and shares the immutable [`Trace`]
-//!   across any number of replays via [`Arc`]. For resident multi-tenant
-//!   use (the `atc-serve` daemon) the cache also tracks which owner is
-//!   charged for each stream's bytes, enforces an optional per-owner
-//!   admission quota ([`TraceCache::reserve`]), evicts least-recently
-//!   used *unreferenced* streams once an optional residency budget is
-//!   exceeded, and tallies cross-owner hits ([`TraceCache::stats`]).
+//!   across any number of replays via [`Arc`].
 //!
 //! # On-disk format
 //!
@@ -62,11 +57,9 @@
 //! assert_eq!(replay.next_instr(), t.get(0));
 //! ```
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use atc_types::VirtAddr;
 
@@ -502,58 +495,6 @@ pub struct StreamKey {
     pub len: u64,
 }
 
-/// One resident stream: the capture cell plus the bookkeeping the
-/// multi-tenant server needs — which owner is charged for the bytes and
-/// when the stream was last touched (for LRU eviction).
-#[derive(Debug)]
-struct Slot {
-    cell: Arc<OnceLock<Arc<Trace>>>,
-    owner: String,
-    last_used: u64,
-}
-
-/// Point-in-time cache statistics, as reported by [`TraceCache::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Captured (initialized) streams currently resident.
-    pub streams: usize,
-    /// Total heap footprint of resident streams, in bytes.
-    pub footprint_bytes: usize,
-    /// Requests served from an already-captured stream.
-    pub hits: u64,
-    /// Requests that had to capture (or re-capture) the stream.
-    pub misses: u64,
-    /// Hits where the resident stream was charged to a *different*
-    /// owner — the cross-tenant sharing tally the serve daemon reports.
-    pub cross_owner_hits: u64,
-    /// Streams evicted to get back under the residency budget.
-    pub evictions: u64,
-}
-
-/// Why [`TraceCache::reserve`] refused an admission: charging the
-/// requested streams to `owner` would push it over its quota.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheReject {
-    /// The owner whose quota would be exceeded.
-    pub owner: String,
-    /// Bytes the reservation would have added.
-    pub needed_bytes: usize,
-    /// Bytes already charged to the owner.
-    pub charged_bytes: usize,
-    /// The per-owner quota in force.
-    pub quota_bytes: usize,
-}
-
-impl std::fmt::Display for CacheReject {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "owner {:?} over trace-cache quota: {} charged + {} needed > {} quota bytes",
-            self.owner, self.charged_bytes, self.needed_bytes, self.quota_bytes
-        )
-    }
-}
-
 /// Suite-wide cache of captured instruction streams.
 ///
 /// Each distinct [`StreamKey`] is captured exactly once — lazily, the
@@ -562,53 +503,16 @@ impl std::fmt::Display for CacheReject {
 /// two workers racing on the *same* key block on one capture, while
 /// captures of *different* keys proceed concurrently (the map mutex is
 /// only held to look up the per-key [`OnceLock`], never during capture).
-///
-/// # Multi-tenant residency
-///
-/// The owner-aware entry points ([`reserve`](Self::reserve),
-/// [`get_owned`](Self::get_owned), [`replay_owned`](Self::replay_owned))
-/// charge each stream's estimated bytes to the owner that first admits
-/// it. With [`with_owner_quota`](Self::with_owner_quota) a reservation
-/// that would push an owner past its quota is rejected up front (the
-/// admission-control hook); with
-/// [`with_budget_bytes`](Self::with_budget_bytes) the cache evicts
-/// least-recently-used streams — but only ones no replay still
-/// references — whenever the total footprint exceeds the budget,
-/// refunding the evicted bytes to the charged owner. Lock order is
-/// always `slots` before `charged`.
+/// Captured streams stay resident for the life of the cache.
 #[derive(Debug, Default)]
 pub struct TraceCache {
-    slots: Mutex<HashMap<StreamKey, Slot>>,
-    charged: Mutex<HashMap<String, usize>>,
-    tick: AtomicU64,
-    budget_bytes: Option<usize>,
-    quota_bytes: Option<usize>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    cross_owner_hits: AtomicU64,
-    evictions: AtomicU64,
+    cells: Mutex<HashMap<StreamKey, Arc<OnceLock<Arc<Trace>>>>>,
 }
 
 impl TraceCache {
-    /// An empty cache with no residency budget or owner quotas.
+    /// An empty cache.
     pub fn new() -> Self {
         TraceCache::default()
-    }
-
-    /// Evict LRU unreferenced streams once the footprint exceeds
-    /// `bytes`.
-    #[must_use]
-    pub fn with_budget_bytes(mut self, bytes: usize) -> Self {
-        self.budget_bytes = Some(bytes);
-        self
-    }
-
-    /// Reject [`reserve`](Self::reserve) calls that would charge any
-    /// single owner more than `bytes`.
-    #[must_use]
-    pub fn with_owner_quota(mut self, bytes: usize) -> Self {
-        self.quota_bytes = Some(bytes);
-        self
     }
 
     /// Bytes the stream `key` describes reserves once captured, equal
@@ -618,110 +522,18 @@ impl TraceCache {
         reserved_bytes(key.len as usize)
     }
 
-    /// Admission control: charge `owner` for every key in `keys` not
-    /// already resident, creating empty slots for them. Returns the
-    /// bytes newly charged (0 when everything is already resident —
-    /// idempotent resubmission and cross-tenant sharing ride free).
-    ///
-    /// # Errors
-    ///
-    /// [`CacheReject`] when an owner quota is configured, `owner` is
-    /// non-empty, and the new charge would exceed it; nothing is
-    /// charged or inserted in that case.
-    pub fn reserve(&self, owner: &str, keys: &[StreamKey]) -> Result<usize, CacheReject> {
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        let mut fresh: Vec<StreamKey> = Vec::new();
-        let mut needed = 0usize;
-        for &key in keys {
-            if slots.contains_key(&key) || fresh.contains(&key) {
-                continue;
-            }
-            needed += Self::stream_bytes(key);
-            fresh.push(key);
-        }
-        let mut charged = self.charged.lock().unwrap_or_else(|e| e.into_inner());
-        let already = charged.get(owner).copied().unwrap_or(0);
-        if let Some(quota) = self.quota_bytes {
-            if !owner.is_empty() && already + needed > quota {
-                return Err(CacheReject {
-                    owner: owner.to_string(),
-                    needed_bytes: needed,
-                    charged_bytes: already,
-                    quota_bytes: quota,
-                });
-            }
-        }
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        for key in fresh {
-            slots.insert(
-                key,
-                Slot {
-                    cell: Arc::default(),
-                    owner: owner.to_string(),
-                    last_used: tick,
-                },
-            );
-        }
-        *charged.entry(owner.to_string()).or_insert(0) += needed;
-        Ok(needed)
-    }
-
-    /// The shared trace for `key`, capturing it on first use and
-    /// attributing the access to `owner` (hit/miss/cross-owner tallies,
-    /// residency charge for a previously unseen key).
-    pub fn get_owned(&self, owner: &str, key: StreamKey) -> Arc<Trace> {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let cell = {
-            let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-            match slots.entry(key) {
-                Entry::Occupied(mut e) => {
-                    let slot = e.get_mut();
-                    slot.last_used = tick;
-                    if slot.cell.get().is_some() {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        if slot.owner != owner {
-                            self.cross_owner_hits.fetch_add(1, Ordering::Relaxed);
-                        }
-                    } else {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Arc::clone(&slot.cell)
-                }
-                Entry::Vacant(e) => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    let cell = Arc::clone(
-                        &e.insert(Slot {
-                            cell: Arc::default(),
-                            owner: owner.to_string(),
-                            last_used: tick,
-                        })
-                        .cell,
-                    );
-                    let mut charged = self.charged.lock().unwrap_or_else(|e| e.into_inner());
-                    *charged.entry(owner.to_string()).or_insert(0) += Self::stream_bytes(key);
-                    cell
-                }
-            }
-        };
-        let trace = cell
-            .get_or_init(|| {
-                let mut wl = key.bench.build(key.scale, key.seed);
-                Arc::new(capture(wl.as_mut(), key.len as usize))
-            })
-            .clone();
-        self.maybe_evict(key);
-        trace
+    fn lock(&self) -> MutexGuard<'_, HashMap<StreamKey, Arc<OnceLock<Arc<Trace>>>>> {
+        self.cells.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The shared trace for `key`, capturing it on first use.
     pub fn get(&self, key: StreamKey) -> Arc<Trace> {
-        self.get_owned("", key)
-    }
-
-    /// A replay workload over the shared trace for `key`, attributed to
-    /// `owner`.
-    pub fn replay_owned(&self, owner: &str, key: StreamKey) -> TraceReplay {
-        TraceReplay::shared(self.get_owned(owner, key))
+        let cell = Arc::clone(self.lock().entry(key).or_default());
+        cell.get_or_init(|| {
+            let mut wl = key.bench.build(key.scale, key.seed);
+            Arc::new(capture(wl.as_mut(), key.len as usize))
+        })
+        .clone()
     }
 
     /// A replay workload over the shared trace for `key`.
@@ -729,99 +541,16 @@ impl TraceCache {
         TraceReplay::shared(self.get(key))
     }
 
-    /// Enforce the residency budget: evict LRU streams that nothing
-    /// outside the cache references (both the slot's cell and the trace
-    /// itself at refcount 1), never the stream just used, until the
-    /// footprint fits or no candidate remains. Evicted bytes are
-    /// refunded to the owner that was charged for them.
-    fn maybe_evict(&self, just_used: StreamKey) {
-        let Some(budget) = self.budget_bytes else {
-            return;
-        };
-        let mut freed: Vec<(String, usize)> = Vec::new();
-        {
-            let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                let footprint: usize = slots
-                    .values()
-                    .filter_map(|s| s.cell.get())
-                    .map(|t| t.size_bytes())
-                    .sum();
-                if footprint <= budget {
-                    break;
-                }
-                let victim = slots
-                    .iter()
-                    .filter(|(k, s)| {
-                        **k != just_used
-                            && Arc::strong_count(&s.cell) == 1
-                            && s.cell.get().is_some_and(|t| Arc::strong_count(t) == 1)
-                    })
-                    .min_by_key(|(_, s)| s.last_used)
-                    .map(|(k, _)| *k);
-                let Some(k) = victim else {
-                    break;
-                };
-                let slot = slots.remove(&k).expect("victim key present");
-                let bytes = slot.cell.get().map_or(0, |t| t.size_bytes());
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                freed.push((slot.owner, bytes));
-            }
-        }
-        if freed.is_empty() {
-            return;
-        }
-        let mut charged = self.charged.lock().unwrap_or_else(|e| e.into_inner());
-        for (owner, bytes) in freed {
-            if let Some(c) = charged.get_mut(&owner) {
-                *c = c.saturating_sub(bytes);
-            }
-        }
-    }
-
-    /// Bytes currently charged to `owner` (reservations plus resident
-    /// streams it admitted, minus evictions).
-    pub fn charged_bytes(&self, owner: &str) -> usize {
-        let charged = self.charged.lock().unwrap_or_else(|e| e.into_inner());
-        charged.get(owner).copied().unwrap_or(0)
-    }
-
-    /// Point-in-time statistics: residency plus hit/miss/eviction
-    /// tallies.
-    pub fn stats(&self) -> CacheStats {
-        let (streams, footprint_bytes) = {
-            let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-            (
-                slots.values().filter(|s| s.cell.get().is_some()).count(),
-                slots
-                    .values()
-                    .filter_map(|s| s.cell.get())
-                    .map(|t| t.size_bytes())
-                    .sum(),
-            )
-        };
-        CacheStats {
-            streams,
-            footprint_bytes,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            cross_owner_hits: self.cross_owner_hits.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
     /// Number of captured streams.
     pub fn streams(&self) -> usize {
-        let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots.values().filter(|s| s.cell.get().is_some()).count()
+        self.lock().values().filter(|c| c.get().is_some()).count()
     }
 
     /// Total heap footprint of all captured streams, in bytes.
     pub fn footprint_bytes(&self) -> usize {
-        let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots
+        self.lock()
             .values()
-            .filter_map(|s| s.cell.get())
+            .filter_map(|c| c.get())
             .map(|t| t.size_bytes())
             .sum()
     }
@@ -971,85 +700,6 @@ mod tests {
         for t in &traces[1..] {
             assert!(Arc::ptr_eq(&traces[0], t));
         }
-    }
-
-    #[test]
-    fn budget_evicts_lru_unreferenced_streams() {
-        let key = |seed| StreamKey {
-            bench: BenchmarkId::Pr,
-            scale: Scale::Test,
-            seed,
-            len: 100,
-        };
-        // Budget fits exactly two 100-instruction streams.
-        let per_stream = TraceCache::stream_bytes(key(0));
-        let cache = TraceCache::new().with_budget_bytes(2 * per_stream);
-        let held = cache.get(key(0)); // keep a live reference
-        drop(cache.get(key(1)));
-        drop(cache.get(key(2)));
-        // The third stream pushed the footprint over budget; key(0) is
-        // referenced and key(2) was just used, so the LRU candidate is
-        // key(1).
-        assert_eq!(cache.streams(), 2);
-        assert_eq!(cache.footprint_bytes(), 2 * per_stream);
-        assert_eq!(cache.stats().evictions, 1);
-        // The held stream survived eviction…
-        let again = cache.get(key(0));
-        assert!(Arc::ptr_eq(&held, &again), "referenced stream evicted");
-        // …and the evicted one transparently re-captures (a miss), which
-        // in turn evicts the now-unreferenced key(2).
-        let misses_before = cache.stats().misses;
-        drop(cache.get(key(1)));
-        let stats = cache.stats();
-        assert_eq!(stats.misses, misses_before + 1, "re-capture is a miss");
-        assert_eq!(stats.evictions, 2);
-        assert_eq!(stats.streams, 2);
-        // Charges track residency exactly (estimate == actual bytes).
-        assert_eq!(cache.charged_bytes(""), cache.footprint_bytes());
-    }
-
-    #[test]
-    fn owner_quota_rejects_and_cross_owner_hits_tally() {
-        let key = |seed| StreamKey {
-            bench: BenchmarkId::Mcf,
-            scale: Scale::Test,
-            seed,
-            len: 100,
-        };
-        let per_stream = TraceCache::stream_bytes(key(0));
-        let cache = TraceCache::new().with_owner_quota(2 * per_stream);
-        // Tenant a fills its quota; a third stream is rejected with the
-        // exact accounting in the error.
-        assert_eq!(cache.reserve("a", &[key(0), key(1)]), Ok(2 * per_stream));
-        assert_eq!(cache.charged_bytes("a"), 2 * per_stream);
-        let err = cache.reserve("a", &[key(2)]).unwrap_err();
-        assert_eq!(
-            err,
-            CacheReject {
-                owner: "a".into(),
-                needed_bytes: per_stream,
-                charged_bytes: 2 * per_stream,
-                quota_bytes: 2 * per_stream,
-            }
-        );
-        assert!(err.to_string().contains("over trace-cache quota"));
-        assert_eq!(
-            cache.charged_bytes("a"),
-            2 * per_stream,
-            "rejection charges nothing"
-        );
-        // Tenant b has its own quota, and re-reserving an already
-        // resident stream is free — that is the cross-tenant sharing.
-        assert_eq!(cache.reserve("b", &[key(2)]), Ok(per_stream));
-        assert_eq!(cache.reserve("b", &[key(0)]), Ok(0));
-        assert_eq!(cache.charged_bytes("b"), per_stream);
-        // a captures key(0) (miss), b then hits it cross-owner.
-        drop(cache.get_owned("a", key(0)));
-        drop(cache.get_owned("b", key(0)));
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.cross_owner_hits, 1);
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub use atc_dram as dram;
 pub use atc_harness as harness;
 pub use atc_obs as obs;
 pub use atc_prefetch as prefetch;
-pub use atc_serve as serve;
 pub use atc_sim as sim;
 pub use atc_stats as stats;
 pub use atc_types as types;

@@ -18,6 +18,7 @@
 //!   count; `run_multicore` and `run_smt` must be run-to-run
 //!   deterministic and honour `SimConfig::ignore_deps`.
 
+use atc_bench::fnv1a;
 use atc_core::{Enhancement, IdealConfig, PolicyChoice};
 use atc_prefetch::PrefetcherKind;
 use atc_sim::machine::CANCEL_POLL_INSTRS;
@@ -41,13 +42,6 @@ const BENCHES: [BenchmarkId; 4] = [
 
 fn digest(s: &RunStats) -> String {
     format!("{s:?}")
-}
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
 }
 
 fn run_scalar(cfg: &SimConfig, bench: BenchmarkId, seed: u64, warmup: u64, measure: u64) -> String {

@@ -11,19 +11,13 @@
 //!   60k-record captures, recorded from the 16-byte-per-record layout
 //!   that preceded the dense one, and `from_reader(to_writer(t)) == t`.
 
+use atc_bench::fnv1a;
 use atc_types::VirtAddr;
 use atc_workloads::trace::{capture, StreamKey, Trace, TraceCache, TraceReplay};
 use atc_workloads::{BenchmarkId, Instr, Scale, Workload};
 
 const BATCHES: [usize; 4] = [1, 7, 64, 4096];
 const WRAPS: usize = 3;
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 fn to_bytes(t: &Trace) -> Vec<u8> {
     let mut buf = Vec::new();
