@@ -1,9 +1,8 @@
 //! Figure-regeneration benches: timed miniature versions of the paper's
-//! key experiments. These wrap the same code paths as the
-//! `atc-experiments` binaries (Table II characterization, the Fig 14
-//! ladder, the Fig 4 policy sweep) so `cargo bench` demonstrates each
-//! experiment kernel end to end; run the binaries for full-budget
-//! reproductions.
+//! key experiments (the Table II characterization, the Fig 14 ladder,
+//! the Fig 4 policy sweep), so `cargo bench` demonstrates each
+//! experiment kernel end to end; run the `suite` binary of
+//! `atc-experiments` for full-budget reproductions.
 
 use atc_bench::Reporter;
 use atc_core::{Enhancement, PolicyChoice};

@@ -12,10 +12,10 @@
 //!   is classified dead-page are inserted with maximum eviction priority
 //!   (effective bypass), cleaning the LLC of dead blocks.
 //!
-//! The paper's argument — reproduced by the `compare_dppred` experiment —
-//! is that this helps LLC capacity but cannot *expedite* the costly
-//! translation misses themselves (dead TLB entries have long recall
-//! distances, Fig 18), so the T-policies + ATP still win.
+//! The paper's argument — reproduced by the suite's `dppred` sweep and
+//! its claims — is that this helps LLC capacity but cannot *expedite*
+//! the costly translation misses themselves (dead TLB entries have long
+//! recall distances, Fig 18), so the T-policies + ATP still win.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 

@@ -197,15 +197,6 @@ impl PolicyChoice {
             PolicyChoice::TShipPinOnly => "T-SHiP(pin-only)",
         }
     }
-
-    /// The policies compared in Figs 4 and 6.
-    pub const FIG4_SET: [PolicyChoice; 5] = [
-        PolicyChoice::Lru,
-        PolicyChoice::Srrip,
-        PolicyChoice::Drrip,
-        PolicyChoice::Ship,
-        PolicyChoice::Hawkeye,
-    ];
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
 //! Run the full experiment suite — every figure and table — as one
 //! checkpointed, work-stealing process.
 //!
-//! Replaces the per-binary regeneration loop: jobs shared between
-//! figures (the baseline feeds almost every one) run exactly once, the
-//! append-only manifest makes interrupted sweeps resumable, and the
-//! rendered tables depend only on recorded metrics, so stdout is
-//! byte-identical for any `--jobs` value and across resumes.
+//! Jobs shared between figures (the baseline feeds almost every one)
+//! run exactly once, the append-only manifest makes interrupted sweeps
+//! resumable, and the rendered tables depend only on recorded metrics,
+//! so stdout is byte-identical for any `--jobs` value and across
+//! resumes. With `--check`, every job must succeed and the paper's
+//! claims ([`atc_experiments::claims`]) are evaluated over the same
+//! recorded metrics; verdicts go to stderr.
 //!
 //! ```text
 //! suite [common flags] [--jobs N] [--manifest PATH] [--resume]
@@ -19,7 +21,8 @@
 //!
 //! * `--manifest PATH`   checkpoint file (default `suite-manifest.jsonl`)
 //! * `--resume`          reuse completed jobs from the manifest
-//! * `--figures a,b`     run a subset of sweeps (default: all)
+//! * `--figures a,b`     run a subset of sweeps (default: all; a name
+//!   given twice is an error)
 //! * `--retries N`       retry budget for transient (deadlock) failures
 //! * `--max-jobs N`      stop after scheduling the first N jobs (CI
 //!   resume smoke: run half, rerun with `--resume`)
@@ -55,13 +58,14 @@
 //! worker counts, fault plans, and streaming flags (as long as every
 //! job eventually succeeds).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use atc_bench::json::Value;
 use atc_bench::trace_event::TraceEvents;
+use atc_experiments::claims::{claims, evaluate, Verdict};
 use atc_experiments::sweeps::{build_jobs, catalog, render_sweep, sweeps, Budget, SweepDef};
 use atc_experiments::{Checks, Opts};
 use atc_harness::{
@@ -276,8 +280,11 @@ fn select_figures(figures: Option<&[String]>) -> Result<Vec<SweepDef>, String> {
     let Some(wanted) = figures else {
         return Ok(all);
     };
-    let mut out = Vec::new();
+    let mut out: Vec<SweepDef> = Vec::new();
     for name in wanted {
+        if out.iter().any(|d| d.name == name.as_str()) {
+            return Err(format!("figure {name:?} given twice"));
+        }
         match all.iter().find(|d| d.name == name.as_str()) {
             Some(d) => out.push(d.clone()),
             None => {
@@ -574,6 +581,35 @@ fn main() -> ExitCode {
         );
     }
     checks.claim(!ok_metrics.is_empty(), "at least one job produced metrics");
+    // The paper's claims over the same records; each evaluated claim
+    // counts as one check.
+    let claims = claims();
+    let mut skipped: BTreeMap<&str, usize> = BTreeMap::new();
+    for (claim, verdict) in
+        claims
+            .iter()
+            .zip(evaluate(&claims, &defs, &opts.benchmarks, budget, &lookup))
+    {
+        match verdict {
+            Verdict::Passed(_) => checks.claim(true, claim.name),
+            Verdict::Failed(why) => checks.claim(
+                false,
+                &format!("claim {}: {}: {why}", claim.name, claim.text),
+            ),
+            Verdict::NotEvaluated(why) => *skipped.entry(why).or_default() += 1,
+        }
+    }
+    let not_evaluated: usize = skipped.values().sum();
+    let reasons: Vec<String> = skipped.iter().map(|(w, n)| format!("{n} {w}")).collect();
+    eprintln!(
+        "suite: claims: {} evaluated, {not_evaluated} not evaluated{}",
+        claims.len() - not_evaluated,
+        if reasons.is_empty() {
+            String::new()
+        } else {
+            format!(" ({})", reasons.join(", "))
+        },
+    );
     if let Some(expected) = suite.assert_executed {
         checks.claim(
             outcome.executed == expected,
@@ -584,4 +620,29 @@ fn main() -> ExitCode {
         );
     }
     checks.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(list: &str) -> Vec<String> {
+        list.split(',').map(String::from).collect()
+    }
+
+    #[test]
+    fn figures_select_in_the_given_order() {
+        let defs = select_figures(Some(&names("fig16,fig14"))).unwrap();
+        let got: Vec<&str> = defs.iter().map(|d| d.name).collect();
+        assert_eq!(got, ["fig16", "fig14"]);
+        assert_eq!(select_figures(None).unwrap().len(), sweeps().len());
+    }
+
+    #[test]
+    fn repeated_or_unknown_figure_is_an_error() {
+        let err = select_figures(Some(&names("fig14,fig16,fig14"))).unwrap_err();
+        assert!(err.contains("\"fig14\" given twice"), "got {err:?}");
+        let err = select_figures(Some(&names("fig99"))).unwrap_err();
+        assert!(err.contains("unknown figure"), "got {err:?}");
+    }
 }

@@ -1,9 +1,14 @@
 #![deny(unsafe_code)]
 
-//! Experiment harness shared by the per-figure binaries.
+//! The paper's experiments: every figure and table as one declarative
+//! [`sweeps`] catalog, the paper's claims about them as [`claims`]
+//! data, and the options the binaries share.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md's experiment index) and accepts the same flags:
+//! The `suite` binary regenerates every figure in one checkpointed
+//! process through `atc-harness`; with `--check` it also evaluates the
+//! claims. `table1_config` prints the static machine parameters, and
+//! `lane_mix` is the multicore lane-determinism smoke. They accept the
+//! same flags:
 //!
 //! ```text
 //! --seed N            RNG seed (default 42)
@@ -11,27 +16,18 @@
 //! --warmup N          warmup instructions per run (default 200000)
 //! --instructions N    measured instructions per run (default 2000000)
 //! --benchmarks a,b,c  subset of benchmarks (default: all nine)
-//! --jobs N            worker threads for parallel sweeps (default: one
-//!                     per available core)
+//! --jobs N            worker threads (default: one per available core)
 //! --csv               emit CSV instead of an aligned table
-//! --check             assert the paper's qualitative claims and exit
-//!                     non-zero on violation
+//! --check             check the paper's claims and exit non-zero on a
+//!                     failure
 //! ```
-//!
-//! The whole suite can also be regenerated in one checkpointed process
-//! by the `suite` binary, which executes the declarative [`sweeps`]
-//! catalog through `atc-harness`.
 
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
 
-use atc_harness::{JobRun, JobStatus, Progress, Scheduler};
-use atc_sim::SimConfig;
 use atc_stats::table::Table;
 use atc_workloads::{BenchmarkId, Scale};
 
-pub use atc_sim::{run_one, RunStats, SimFailure};
-
+pub mod claims;
 pub mod sweeps;
 
 /// Parsed common command-line options.
@@ -49,26 +45,10 @@ pub struct Opts {
     pub benchmarks: Vec<BenchmarkId>,
     /// Emit CSV.
     pub csv: bool,
-    /// Run shape checks.
+    /// Check the paper's claims.
     pub check: bool,
     /// Worker threads for parallel sweeps (0 = one per available core).
     pub jobs: usize,
-    /// Runs skipped by [`run_or_skip`](Opts::run_or_skip) /
-    /// [`par_items`](Opts::par_items); shared across clones so parallel
-    /// sweeps report into the same log.
-    skips: Arc<Mutex<Vec<SkipRecord>>>,
-}
-
-/// One run that failed and was skipped instead of aborting the figure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SkipRecord {
-    /// What was being run (benchmark name or mix label).
-    pub label: String,
-    /// The failure message.
-    pub error: String,
-    /// Instructions retired before the failure, when the machine had
-    /// started executing (deadlock diagnostics carry partial stats).
-    pub partial_instructions: Option<u64>,
 }
 
 impl Default for Opts {
@@ -82,7 +62,6 @@ impl Default for Opts {
             csv: false,
             check: false,
             jobs: 0,
-            skips: Arc::default(),
         }
     }
 }
@@ -134,13 +113,15 @@ impl Opts {
                     }
                 }
                 "--benchmarks" => {
-                    o.benchmarks = value("--benchmarks")?
-                        .split(',')
-                        .map(|s| {
-                            BenchmarkId::parse(s.trim())
-                                .ok_or_else(|| format!("unknown benchmark {s:?}"))
-                        })
-                        .collect::<Result<_, _>>()?;
+                    o.benchmarks = Vec::new();
+                    for s in value("--benchmarks")?.split(',') {
+                        let b = BenchmarkId::parse(s.trim())
+                            .ok_or_else(|| format!("unknown benchmark {s:?}"))?;
+                        if o.benchmarks.contains(&b) {
+                            return Err(format!("benchmark {s:?} given twice"));
+                        }
+                        o.benchmarks.push(b);
+                    }
                 }
                 "--jobs" => o.jobs = numeric("--jobs", value("--jobs")?)? as usize,
                 "--csv" => o.csv = true,
@@ -151,60 +132,6 @@ impl Opts {
         Ok(o)
     }
 
-    /// Run `bench` under `cfg` with this option set's budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the [`SimFailure`] from [`run_one`].
-    pub fn run(&self, cfg: &SimConfig, bench: BenchmarkId) -> Result<RunStats, SimFailure> {
-        run_one(cfg, bench, self.scale, self.seed, self.warmup, self.measure)
-    }
-
-    /// [`run`](Self::run), reporting a failed configuration on stderr and
-    /// returning `None` so sweeps skip it instead of aborting the whole
-    /// figure. The failure is also recorded in the shared skip log (see
-    /// [`skips`](Opts::skips)) so `--check` binaries can surface it via
-    /// [`Checks::note_skips`] instead of silently passing on a partial
-    /// sweep.
-    pub fn run_or_skip(&self, cfg: &SimConfig, bench: BenchmarkId) -> Option<RunStats> {
-        match self.run(cfg, bench) {
-            Ok(s) => Some(s),
-            Err(fail) => {
-                eprintln!("SKIPPED {bench:?}: {fail}");
-                let partial = fail.partial.as_ref().map(|p| p.core.instructions);
-                self.note_skip(bench.name(), &fail.error.to_string(), partial);
-                None
-            }
-        }
-    }
-
-    /// Record a skipped run in the shared skip log.
-    pub fn note_skip(&self, label: &str, error: &str, partial_instructions: Option<u64>) {
-        self.note_skip_batch(vec![SkipRecord {
-            label: label.to_string(),
-            error: error.to_string(),
-            partial_instructions,
-        }]);
-    }
-
-    /// Merge a batch of locally-accumulated skip records into the shared
-    /// log under a single lock acquisition. Parallel sweeps collect
-    /// their skips per pass and merge here at the barrier, so workers
-    /// never contend on the log mutex mid-sweep.
-    pub fn note_skip_batch(&self, records: Vec<SkipRecord>) {
-        if records.is_empty() {
-            return;
-        }
-        let mut log = self.skips.lock().unwrap_or_else(|e| e.into_inner());
-        log.extend(records);
-    }
-
-    /// Snapshot of every run skipped so far (across all clones of this
-    /// option set).
-    pub fn skips(&self) -> Vec<SkipRecord> {
-        self.skips.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
     /// Worker-thread count for parallel sweeps: `--jobs` when given,
     /// otherwise one per available core.
     pub fn worker_count(&self) -> usize {
@@ -213,65 +140,6 @@ impl Opts {
         } else {
             std::thread::available_parallelism().map_or(4, usize::from)
         }
-    }
-
-    /// Run labelled jobs through the work-stealing scheduler and return
-    /// results in item order. A job that panics (or fails) becomes a
-    /// `None` slot plus a skip-log entry instead of tearing down the
-    /// whole sweep.
-    pub fn par_items<T, R, F>(&self, items: Vec<(String, T)>, job: F) -> Vec<Option<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&str, &T) -> Option<R> + Sync,
-    {
-        let scheduler = Scheduler::new(self.worker_count());
-        let progress = Progress::new();
-        let runs = scheduler.run(&items, &progress, |key, item, _ctx| Ok(job(key, item)));
-        // Accumulate skips locally and merge into the shared log in one
-        // lock acquisition at the barrier.
-        let mut skipped = Vec::new();
-        let out = runs
-            .into_iter()
-            .map(|JobRun { key, status, .. }| match status {
-                JobStatus::Ok(r) => r,
-                JobStatus::Failed(e) => {
-                    eprintln!("FAILED {key}: {}", e.message);
-                    skipped.push(SkipRecord {
-                        label: key,
-                        error: e.message,
-                        partial_instructions: None,
-                    });
-                    None
-                }
-                JobStatus::Panicked(msg) => {
-                    eprintln!("PANICKED {key}: {msg}");
-                    skipped.push(SkipRecord {
-                        label: key,
-                        error: msg,
-                        partial_instructions: None,
-                    });
-                    None
-                }
-            })
-            .collect();
-        self.note_skip_batch(skipped);
-        out
-    }
-
-    /// [`par_items`](Opts::par_items) over one job per benchmark — the
-    /// common shape of the per-figure sweeps (each job builds its own
-    /// `Machine`, so runs are independent and embarrassingly parallel).
-    pub fn par_bench_map<R, F>(&self, benchmarks: &[BenchmarkId], job: F) -> Vec<Option<R>>
-    where
-        R: Send,
-        F: Fn(BenchmarkId) -> Option<R> + Sync,
-    {
-        let items: Vec<(String, BenchmarkId)> = benchmarks
-            .iter()
-            .map(|&b| (b.name().to_string(), b))
-            .collect();
-        self.par_items(items, |_key, &b| job(b))
     }
 
     /// Print the table in the selected format.
@@ -305,19 +173,6 @@ impl Checks {
             self.passes += 1;
         } else {
             self.failures.push(description.to_string());
-        }
-    }
-
-    /// Convert skipped runs into recorded failures: a figure whose sweep
-    /// silently lost configurations must not report a clean `--check`.
-    pub fn note_skips(&mut self, skips: &[SkipRecord]) {
-        for s in skips {
-            let partial = match s.partial_instructions {
-                Some(n) => format!(" (partial: {n} instructions retired)"),
-                None => String::new(),
-            };
-            self.failures
-                .push(format!("skipped run {}: {}{partial}", s.label, s.error));
         }
     }
 
@@ -416,6 +271,13 @@ mod tests {
     }
 
     #[test]
+    fn repeated_benchmark_is_an_error() {
+        let args = ["--benchmarks", "pr,mcf,pr"].map(String::from);
+        let err = Opts::parse_from(args).unwrap_err();
+        assert!(err.contains("\"pr\" given twice"), "got {err:?}");
+    }
+
+    #[test]
     fn checks_track_failures() {
         let mut c = Checks::new();
         c.claim(true, "fine");
@@ -429,45 +291,6 @@ mod tests {
         assert_eq!(o.jobs, 3);
         assert_eq!(o.worker_count(), 3);
         assert!(Opts::default().worker_count() >= 1);
-    }
-
-    #[test]
-    fn par_items_contains_panics_as_skips() {
-        let opts = Opts {
-            jobs: 2,
-            ..Opts::default()
-        };
-        let items: Vec<(String, u64)> = (0..4).map(|i| (format!("job{i}"), i)).collect();
-        let out = opts.par_items(items, |_key, &i| {
-            assert!(i != 2, "job 2 explodes");
-            Some(i * 10)
-        });
-        assert_eq!(out, vec![Some(0), Some(10), None, Some(30)]);
-        let skips = opts.skips();
-        assert_eq!(skips.len(), 1);
-        assert_eq!(skips[0].label, "job2");
-        assert!(skips[0].error.contains("job 2 explodes"), "{:?}", skips[0]);
-    }
-
-    #[test]
-    fn skip_log_is_shared_across_clones() {
-        let opts = Opts::default();
-        let clone = opts.clone();
-        clone.note_skip("mcf", "deadlock", Some(123));
-        let skips = opts.skips();
-        assert_eq!(skips.len(), 1);
-        assert_eq!(skips[0].partial_instructions, Some(123));
-    }
-
-    #[test]
-    fn note_skips_turns_skips_into_failures() {
-        let mut c = Checks::new();
-        c.note_skips(&[SkipRecord {
-            label: "pr".to_string(),
-            error: "simulation deadlock".to_string(),
-            partial_instructions: Some(42),
-        }]);
-        assert_eq!(c.failed(), 1);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Declarative catalog of every figure's sweep for the suite runner.
 //!
-//! Each experiment binary in `src/bin/` derives its own config × bench
-//! grid ad hoc; this module is the single declarative source the
-//! [`suite`](../bin/suite.rs) runner executes through `atc-harness`:
+//! This module is the single definition of every figure and table the
+//! [`suite`](../bin/suite.rs) runner executes through `atc-harness`
+//! (the paper's claims about them live beside it, in
+//! [`claims`](crate::claims)):
 //!
 //! * [`catalog`] — every configuration delta the paper sweeps, as
 //!   `label → SimConfig`. Labels are the harness job keys' first
@@ -23,15 +24,14 @@ use atc_core::{Enhancement, IdealConfig, PolicyChoice};
 use atc_harness::{JobError, JobSpec, Metrics};
 use atc_prefetch::PrefetcherKind;
 use atc_sim::{
-    run_multicore_cancellable, run_one_replay_cancel, run_smt_cancellable, Probes, SimConfig,
+    run_multicore_cancellable, run_one_replay_cancel, run_smt_cancellable, Probes, RunStats,
+    SimConfig,
 };
 use atc_stats::table::Table;
 use atc_stats::{geomean, harmonic_speedup};
 use atc_types::{AccessClass, CancelToken, MemLevel, PtLevel};
 use atc_workloads::trace::{StreamKey, TraceCache};
 use atc_workloads::{BenchmarkId, Scale, Workload};
-
-use crate::RunStats;
 
 /// Every configuration delta the suite sweeps, as ordered
 /// `(label, config)` pairs. Labels never contain `/` (they are the
@@ -89,7 +89,7 @@ pub fn catalog() -> Vec<(&'static str, SimConfig)> {
             with_ideal(IdealConfig::both_levels_both_classes()),
         ),
         // Figs 4/6/12: LLC replacement policies over the baseline
-        // ("base" itself is the SHiP point of FIG4_SET).
+        // ("base" itself is the SHiP point).
         ("llc-lru", with_llc(PolicyChoice::Lru)),
         ("llc-srrip", with_llc(PolicyChoice::Srrip)),
         ("llc-drrip", with_llc(PolicyChoice::Drrip)),
@@ -819,6 +819,24 @@ pub fn sweeps() -> Vec<SweepDef> {
     ]
 }
 
+/// The config labels a per-benchmark sweep's columns read, each once,
+/// in first-use order (a ratio's base right after its column's config).
+pub fn column_configs(columns: &[Column]) -> Vec<&'static str> {
+    let mut labels: Vec<&'static str> = Vec::new();
+    for col in columns {
+        let base = match col.value {
+            ColValue::Ratio { base, .. } => Some(base),
+            ColValue::Metric(_) => None,
+        };
+        for label in std::iter::once(col.config).chain(base) {
+            if !labels.contains(&label) {
+                labels.push(label);
+            }
+        }
+    }
+    labels
+}
+
 /// Expand `defs` into the deduplicated harness job list, in
 /// deterministic spec order. Jobs shared between sweeps (`base` feeds
 /// nearly every figure) appear once.
@@ -847,18 +865,7 @@ pub fn build_jobs(
     for def in defs {
         match &def.kind {
             SweepKind::PerBench(columns) => {
-                let mut labels: Vec<&'static str> = Vec::new();
-                for col in columns {
-                    if !labels.contains(&col.config) {
-                        labels.push(col.config);
-                    }
-                    if let ColValue::Ratio { base, .. } = col.value {
-                        if !labels.contains(&base) {
-                            labels.push(base);
-                        }
-                    }
-                }
-                for label in labels {
+                for label in column_configs(columns) {
                     let cfg = config(label)?;
                     for &bench in benchmarks {
                         let spec = JobSpec {
@@ -945,140 +952,186 @@ pub fn mc_key(label: &str, slug: &str, b: Budget) -> String {
     format!("mc-{label}/{slug}/{}", b.key_suffix())
 }
 
-/// Render one sweep from recorded metrics as an aligned [`Table`].
+/// The values behind one rendered sweep: per row, its label and one
+/// value per column (`None` where an input is missing), plus the
+/// footer. [`render_sweep`] prints exactly these values, and the
+/// [`claims`](crate::claims) read them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepValues {
+    /// Value-column headers, in order (the row-label column excluded).
+    pub headers: Vec<&'static str>,
+    /// `(row label, one value per column)` for each row.
+    pub rows: Vec<(String, Vec<Option<f64>>)>,
+    /// Per column: the geomean of a ratio (or SMT/multicore) column,
+    /// the mean of a metric column in a pure-metric table, `None` for
+    /// a metric column beside ratios or a column with no values.
+    pub footer: Vec<Option<f64>>,
+}
+
+/// Compute one sweep's [`SweepValues`] from recorded metrics.
 ///
 /// `lookup` maps a manifest key to the metrics of a *successful* record
-/// (return `None` for missing or failed jobs). Cells whose inputs are
-/// missing render as `n/a`; the footer is the geomean of each ratio
-/// column (blank for raw-metric columns in a mixed table) or the
-/// arithmetic mean of a pure-metric table. Rendering touches only the
-/// recorded metrics, so a resumed or differently-parallel run produces
-/// byte-identical output.
+/// (return `None` for missing or failed jobs).
+pub fn sweep_values<'m>(
+    def: &SweepDef,
+    benchmarks: &[BenchmarkId],
+    budget: Budget,
+    lookup: &dyn Fn(&str) -> Option<&'m Metrics>,
+) -> SweepValues {
+    let hspeedup = |rows: Vec<(String, Option<f64>)>| {
+        let present: Vec<f64> = rows.iter().filter_map(|r| r.1).collect();
+        SweepValues {
+            headers: vec!["hspeedup"],
+            rows: rows.into_iter().map(|(l, v)| (l, vec![v])).collect(),
+            footer: vec![(!present.is_empty()).then(|| geomean(&present))],
+        }
+    };
+    // Harmonic speedup of `tempo` over `base` across `n` cores/threads.
+    let harmonic = |base: Option<&Metrics>, enh: Option<&Metrics>, n: usize| {
+        let (base, enh) = (base?, enh?);
+        let ratios: Option<Vec<f64>> = (0..n)
+            .map(|i| {
+                let name = format!("cycles{i}");
+                Some(base.get(&name)? / enh.get(&name)?)
+            })
+            .collect();
+        ratios.map(|r| harmonic_speedup(&r))
+    };
+    match &def.kind {
+        SweepKind::PerBench(columns) => {
+            let mut col_vals: Vec<Vec<f64>> = vec![Vec::new(); columns.len()];
+            let rows = benchmarks
+                .iter()
+                .map(|&bench| {
+                    let get = |label: &str, name: &str| {
+                        lookup(&single_key(label, bench, budget)).and_then(|m| m.get(name))
+                    };
+                    let vals = columns
+                        .iter()
+                        .map(|col| match col.value {
+                            ColValue::Metric(name) => get(col.config, name),
+                            ColValue::Ratio { base, metric } => {
+                                match (get(base, metric), get(col.config, metric)) {
+                                    (Some(n), Some(d)) if d != 0.0 => Some(n / d),
+                                    _ => None,
+                                }
+                            }
+                        })
+                        .collect::<Vec<_>>();
+                    for (acc, v) in col_vals.iter_mut().zip(&vals) {
+                        acc.extend(*v);
+                    }
+                    (bench.name().to_string(), vals)
+                })
+                .collect();
+            let any_ratio = columns
+                .iter()
+                .any(|c| matches!(c.value, ColValue::Ratio { .. }));
+            let footer = columns
+                .iter()
+                .zip(&col_vals)
+                .map(|(col, vals)| match col.value {
+                    _ if vals.is_empty() => None,
+                    ColValue::Ratio { .. } => Some(geomean(vals)),
+                    ColValue::Metric(_) if any_ratio => None,
+                    ColValue::Metric(_) => Some(vals.iter().sum::<f64>() / vals.len() as f64),
+                })
+                .collect();
+            SweepValues {
+                headers: columns.iter().map(|c| c.header).collect(),
+                rows,
+                footer,
+            }
+        }
+        SweepKind::Smt(pairs) => {
+            let b = budget.for_smt();
+            hspeedup(
+                pairs
+                    .iter()
+                    .map(|&pair| {
+                        let h = harmonic(
+                            lookup(&smt_key("base", pair, b)),
+                            lookup(&smt_key("tempo", pair, b)),
+                            2,
+                        );
+                        (format!("{}-{}", pair.0.name(), pair.1.name()), h)
+                    })
+                    .collect(),
+            )
+        }
+        SweepKind::Multicore(mixes) => {
+            let b = budget.for_multicore();
+            hspeedup(
+                mixes
+                    .iter()
+                    .map(|(slug, benches)| {
+                        let h = harmonic(
+                            lookup(&mc_key("base", slug, b)),
+                            lookup(&mc_key("tempo", slug, b)),
+                            benches.len(),
+                        );
+                        (slug.to_string(), h)
+                    })
+                    .collect(),
+            )
+        }
+    }
+}
+
+/// Render one sweep from recorded metrics as an aligned [`Table`].
+///
+/// Cells whose inputs are missing render as `n/a`; the footer is the
+/// geomean of each ratio column (blank for raw-metric columns in a
+/// mixed table) or the arithmetic mean of a pure-metric table (see
+/// [`sweep_values`]). Rendering touches only the recorded metrics, so
+/// a resumed or differently-parallel run produces byte-identical
+/// output.
 pub fn render_sweep<'m>(
     def: &SweepDef,
     benchmarks: &[BenchmarkId],
     budget: Budget,
     lookup: &dyn Fn(&str) -> Option<&'m Metrics>,
 ) -> Table {
-    match &def.kind {
+    let values = sweep_values(def, benchmarks, budget, lookup);
+    let (label, fmts, footer_label, blank): (_, Vec<Fmt>, _, Vec<bool>) = match &def.kind {
         SweepKind::PerBench(columns) => {
-            let mut headers = vec!["benchmark"];
-            headers.extend(columns.iter().map(|c| c.header));
-            let mut table = Table::new(&headers);
-            let mut col_vals: Vec<Vec<f64>> = vec![Vec::new(); columns.len()];
-            for &bench in benchmarks {
-                let mut row = vec![bench.name().to_string()];
-                for (i, col) in columns.iter().enumerate() {
-                    let v = match col.value {
-                        ColValue::Metric(name) => {
-                            lookup(&single_key(col.config, bench, budget)).and_then(|m| m.get(name))
-                        }
-                        ColValue::Ratio { base, metric } => {
-                            let num = lookup(&single_key(base, bench, budget))
-                                .and_then(|m| m.get(metric));
-                            let den = lookup(&single_key(col.config, bench, budget))
-                                .and_then(|m| m.get(metric));
-                            match (num, den) {
-                                (Some(n), Some(d)) if d != 0.0 => Some(n / d),
-                                _ => None,
-                            }
-                        }
-                    };
-                    match v {
-                        Some(x) => {
-                            col_vals[i].push(x);
-                            row.push(col.fmt.render(x));
-                        }
-                        None => row.push("n/a".to_string()),
-                    }
-                }
-                table.row(&row);
-            }
             let any_ratio = columns
                 .iter()
                 .any(|c| matches!(c.value, ColValue::Ratio { .. }));
-            let mut footer = vec![if any_ratio { "geomean" } else { "mean" }.to_string()];
-            for (i, col) in columns.iter().enumerate() {
-                let vals = &col_vals[i];
-                let cell = match col.value {
-                    ColValue::Ratio { .. } if !vals.is_empty() => col.fmt.render(geomean(vals)),
-                    ColValue::Metric(_) if !any_ratio && !vals.is_empty() => {
-                        col.fmt.render(vals.iter().sum::<f64>() / vals.len() as f64)
-                    }
-                    ColValue::Metric(_) if any_ratio => String::new(),
-                    _ => "n/a".to_string(),
-                };
-                footer.push(cell);
-            }
-            table.row(&footer);
-            table
+            (
+                "benchmark",
+                columns.iter().map(|c| c.fmt).collect(),
+                if any_ratio { "geomean" } else { "mean" },
+                columns
+                    .iter()
+                    .map(|c| any_ratio && matches!(c.value, ColValue::Metric(_)))
+                    .collect(),
+            )
         }
-        SweepKind::Smt(pairs) => {
-            let b = budget.for_smt();
-            let mut table = Table::new(&["mix (T0-T1)", "hspeedup"]);
-            let mut speedups = Vec::new();
-            for &pair in pairs {
-                let h = lookup(&smt_key("base", pair, b)).and_then(|base| {
-                    lookup(&smt_key("tempo", pair, b)).and_then(|enh| {
-                        let ratios: Option<Vec<f64>> = (0..2)
-                            .map(|i| {
-                                let name = format!("cycles{i}");
-                                Some(base.get(&name)? / enh.get(&name)?)
-                            })
-                            .collect();
-                        ratios.map(|r| harmonic_speedup(&r))
-                    })
-                });
-                let label = format!("{}-{}", pair.0.name(), pair.1.name());
-                match h {
-                    Some(h) => {
-                        speedups.push(h);
-                        table.row(&[label, crate::f3(h)]);
-                    }
-                    None => table.row(&[label, "n/a".to_string()]),
-                }
-            }
-            let g = if speedups.is_empty() {
-                "n/a".to_string()
-            } else {
-                crate::f3(geomean(&speedups))
-            };
-            table.row(&["geomean".to_string(), g]);
-            table
-        }
-        SweepKind::Multicore(mixes) => {
-            let b = budget.for_multicore();
-            let mut table = Table::new(&["mix", "hspeedup"]);
-            let mut speedups = Vec::new();
-            for (slug, benches) in mixes {
-                let h = lookup(&mc_key("base", slug, b)).and_then(|base| {
-                    lookup(&mc_key("tempo", slug, b)).and_then(|enh| {
-                        let ratios: Option<Vec<f64>> = (0..benches.len())
-                            .map(|i| {
-                                let name = format!("cycles{i}");
-                                Some(base.get(&name)? / enh.get(&name)?)
-                            })
-                            .collect();
-                        ratios.map(|r| harmonic_speedup(&r))
-                    })
-                });
-                match h {
-                    Some(h) => {
-                        speedups.push(h);
-                        table.row(&[slug.to_string(), crate::f3(h)]);
-                    }
-                    None => table.row(&[slug.to_string(), "n/a".to_string()]),
-                }
-            }
-            let g = if speedups.is_empty() {
-                "n/a".to_string()
-            } else {
-                crate::f3(geomean(&speedups))
-            };
-            table.row(&["geomean".to_string(), g]);
-            table
-        }
+        SweepKind::Smt(_) => ("mix (T0-T1)", vec![Fmt::F3], "geomean", vec![false]),
+        SweepKind::Multicore(_) => ("mix", vec![Fmt::F3], "geomean", vec![false]),
+    };
+    let cell = |fmt: &Fmt, v: &Option<f64>| match v {
+        Some(x) => fmt.render(*x),
+        None => "n/a".to_string(),
+    };
+    let mut headers = vec![label];
+    headers.extend(&values.headers);
+    let mut table = Table::new(&headers);
+    for (row_label, vals) in &values.rows {
+        let mut row = vec![row_label.clone()];
+        row.extend(fmts.iter().zip(vals).map(|(f, v)| cell(f, v)));
+        table.row(&row);
     }
+    let mut footer = vec![footer_label.to_string()];
+    footer.extend(
+        fmts.iter()
+            .zip(&values.footer)
+            .zip(&blank)
+            .map(|((f, v), &blank)| if blank { String::new() } else { cell(f, v) }),
+    );
+    table.row(&footer);
+    table
 }
 
 #[cfg(test)]
@@ -1196,7 +1249,7 @@ mod tests {
     }
 
     #[test]
-    fn budget_conventions_match_the_figure_binaries() {
+    fn smt_halves_and_multicore_quarters_the_budget() {
         let b = Budget {
             scale: Scale::Small,
             seed: 42,

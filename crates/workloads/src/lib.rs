@@ -197,17 +197,6 @@ pub enum BenchmarkId {
     Pr,
 }
 
-/// STLB-MPKI category from Table II (Low ≤ 10 < Medium ≤ 25 < High).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MpkiCategory {
-    /// STLB MPKI ≤ 10.
-    Low,
-    /// 10 < STLB MPKI ≤ 25.
-    Medium,
-    /// STLB MPKI > 25.
-    High,
-}
-
 impl BenchmarkId {
     /// All benchmarks in Table II order (ascending STLB MPKI).
     pub const ALL: [BenchmarkId; 9] = [
@@ -234,28 +223,6 @@ impl BenchmarkId {
             BenchmarkId::Radii => "radii",
             BenchmarkId::Cc => "cc",
             BenchmarkId::Pr => "pr",
-        }
-    }
-
-    /// Source suite (Table II).
-    pub fn suite(self) -> &'static str {
-        match self {
-            BenchmarkId::Xalancbmk | BenchmarkId::Mcf => "SPEC CPU2017",
-            BenchmarkId::Canneal => "PARSEC",
-            _ => "Ligra",
-        }
-    }
-
-    /// Table II STLB-MPKI category.
-    pub fn category(self) -> MpkiCategory {
-        match self {
-            BenchmarkId::Xalancbmk => MpkiCategory::Low,
-            BenchmarkId::Tc | BenchmarkId::Canneal | BenchmarkId::Mis | BenchmarkId::Mcf => {
-                MpkiCategory::Medium
-            }
-            BenchmarkId::Bf | BenchmarkId::Radii | BenchmarkId::Cc | BenchmarkId::Pr => {
-                MpkiCategory::High
-            }
         }
     }
 
@@ -319,13 +286,6 @@ mod tests {
             .filter(|_| a.next_instr() == b.next_instr())
             .count();
         assert!(same < 2000);
-    }
-
-    #[test]
-    fn category_bands_match_table2() {
-        assert_eq!(BenchmarkId::Xalancbmk.category(), MpkiCategory::Low);
-        assert_eq!(BenchmarkId::Mcf.category(), MpkiCategory::Medium);
-        assert_eq!(BenchmarkId::Pr.category(), MpkiCategory::High);
     }
 
     #[test]
