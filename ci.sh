@@ -25,10 +25,7 @@ cargo fmt --check
 echo "==> bench smoke (sim_throughput --json BENCH_sim.json)"
 # cargo runs bench binaries with cwd = the package root, so pass an
 # absolute path to land the trajectory file at the repo root.
-# sim_throughput records machine/baseline at the default batch AND at
-# batch size 1 (machine/baseline@b1); check_bench_json fails the
-# trajectory if the default batch drops below 0.7x the batch-1
-# reference (the batched-core throughput gate), if attached streaming
+# check_bench_json fails the trajectory if attached streaming
 # (machine/baseline+streaming) drops below 0.8x the detached baseline,
 # or if any throughput entry carries a missing/non-finite/negative
 # elems_per_s.
@@ -113,11 +110,10 @@ cargo run --offline --release -p atc-bench --bin check_bench_json -- \
 test -s target/ci-trace.json
 
 echo "==> batched-core determinism smoke (--jobs 1 vs --jobs 4 stdout)"
-# Every suite job runs through the batched simulation core
-# (Machine::run at DEFAULT_BATCH); identical stdout at 1 and 4 workers
-# pins both scheduler determinism and the batched loop's bit-exact
-# statistics end-to-end (the per-batch-size RunStats equivalence proof
-# and the pinned RunStats digests live in tests/oracle_equivalence.rs).
+# Every suite job runs through Machine::run_cancellable or the
+# interleaved SMT/multicore engine; identical stdout at 1 and 4 workers
+# pins scheduler determinism end-to-end (the pinned RunStats, SMT and
+# multicore digests live in tests/oracle_equivalence.rs).
 rm -f target/ci-det1.jsonl target/ci-det4.jsonl
 $SUITE $SUITE_FLAGS --figures fig14,fig16 --jobs 1 \
     --manifest target/ci-det1.jsonl > target/ci-det1.out

@@ -4,14 +4,6 @@
 //! plain baseline). This is the bench behind `BENCH_sim.json` (see
 //! `ci.sh` and DESIGN.md).
 //!
-//! The baseline is measured twice: once through the default batched run
-//! loop (`machine/baseline`, batch = [`DEFAULT_BATCH`]) and once at
-//! batch size 1 (`machine/baseline@b1`), which drives every instruction
-//! through the same step with no decode amortization. The pair is
-//! the A/B evidence for the batched core: `check_bench_json` fails the
-//! trajectory if the default batch ever drops well below the batch-1
-//! reference.
-//!
 //! `machine/baseline+streaming` re-measures the plain baseline while a
 //! sampler thread (the shape `atc_harness::Sampler` uses) drains a
 //! shared counter into a checksummed `atc-telemetry-stream-v1` file at
@@ -27,7 +19,7 @@ use atc_bench::stream::{check_stream, epoch_line, final_line, header_line};
 use atc_bench::Reporter;
 use atc_core::Enhancement;
 use atc_obs::{Registry, SnapshotStream};
-use atc_sim::{Machine, SimConfig, TelemetryConfig, DEFAULT_BATCH};
+use atc_sim::{Machine, SimConfig, TelemetryConfig};
 use atc_workloads::{BenchmarkId, Scale};
 
 const N: u64 = 50_000;
@@ -69,16 +61,10 @@ fn stream_sampler(
 fn main() {
     let mut reporter = Reporter::from_env();
     println!("sim_throughput: {N} measured instructions per iteration");
-    for (label, e, telemetry, batch) in [
-        ("baseline", Enhancement::Baseline, false, DEFAULT_BATCH),
-        ("baseline@b1", Enhancement::Baseline, false, 1),
-        ("full", Enhancement::Tempo, false, DEFAULT_BATCH),
-        (
-            "baseline+telemetry",
-            Enhancement::Baseline,
-            true,
-            DEFAULT_BATCH,
-        ),
+    for (label, e, telemetry) in [
+        ("baseline", Enhancement::Baseline, false),
+        ("full", Enhancement::Tempo, false),
+        ("baseline+telemetry", Enhancement::Baseline, true),
     ] {
         reporter.bench_throughput(&format!("machine/{label}"), 10, N, || {
             let mut cfg = SimConfig::with_enhancement(e);
@@ -88,8 +74,7 @@ fn main() {
             }
             let mut wl = BenchmarkId::Mcf.build(Scale::Test, 3);
             let mut m = Machine::new(&cfg).expect("valid config");
-            m.run_batched(wl.as_mut(), 5_000, N, batch)
-                .expect("healthy run")
+            m.run(wl.as_mut(), 5_000, N).expect("healthy run")
         });
     }
     // Two concurrent lanes through the partitioned-lane engine, 2 × N
@@ -105,7 +90,8 @@ fn main() {
             BenchmarkId::Mcf.build(Scale::Test, 3),
             BenchmarkId::Xalancbmk.build(Scale::Test, 4),
         ];
-        atc_sim::run_multicore_lanes(&cfg, &mut wls, 5_000, N, 2).expect("healthy lanes")
+        let cancel = atc_types::CancelToken::new();
+        atc_sim::run_multicore_lanes(&cfg, &mut wls, 5_000, N, 2, &cancel).expect("healthy lanes")
     });
     // A/B for attached streaming: the same baseline workload while a
     // sampler thread writes delta epochs — the workers only touch one
@@ -122,9 +108,7 @@ fn main() {
         cfg.machine.stlb.entries = 256;
         let mut wl = BenchmarkId::Mcf.build(Scale::Test, 3);
         let mut m = Machine::new(&cfg).expect("valid config");
-        let out = m
-            .run_batched(wl.as_mut(), 5_000, N, DEFAULT_BATCH)
-            .expect("healthy run");
+        let out = m.run(wl.as_mut(), 5_000, N).expect("healthy run");
         instrs.fetch_add(N, Ordering::Relaxed);
         out
     });
@@ -151,12 +135,6 @@ fn main() {
         println!(
             "telemetry overhead: {:+.1}% instructions/s vs detached baseline",
             (plain / telem - 1.0) * 100.0
-        );
-    }
-    if let (Some(batched), Some(b1)) = (rate("machine/baseline"), rate("machine/baseline@b1")) {
-        println!(
-            "batched core: {:+.1}% instructions/s vs batch-1 reference",
-            (batched / b1 - 1.0) * 100.0
         );
     }
     if let (Some(plain), Some(streaming)) =

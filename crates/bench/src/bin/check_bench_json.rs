@@ -76,45 +76,15 @@ fn check(path: &str) -> Result<String, String> {
         }
     }
     check_fault_counters(results)?;
-    check_batched_core(results)?;
     check_streaming_overhead(results)?;
     Ok(format!("{} results", results.len()))
-}
-
-/// Gate the batched run loop against its batch-1 reference. The
-/// `sim_throughput` bench records `machine/baseline` (default batch)
-/// and `machine/baseline@b1` (same loop, batch size 1, no decode
-/// amortization); a healthy batched core is at least as fast, so the
-/// default batch falling well below the reference means the batching
-/// machinery itself regressed. The threshold is deliberately loose
-/// (0.7x) — CI boxes are noisy and this must only catch real
-/// regressions, not scheduler jitter. Trajectories without the pair
-/// (older files, other benches) pass untouched.
-fn check_batched_core(results: &[Value]) -> Result<(), String> {
-    let rate = |name: &str| {
-        results
-            .iter()
-            .find(|r| r.get("name").and_then(Value::as_str) == Some(name))
-            .and_then(|r| r.get("elems_per_s"))
-            .and_then(Value::as_f64)
-    };
-    let (Some(batched), Some(b1)) = (rate("machine/baseline"), rate("machine/baseline@b1")) else {
-        return Ok(());
-    };
-    if b1 > 0.0 && batched < 0.7 * b1 {
-        return Err(format!(
-            "machine/baseline ({batched:.0} elem/s) is below 0.7x its batch-1 reference \
-             ({b1:.0} elem/s) — the batched run loop regressed"
-        ));
-    }
-    Ok(())
 }
 
 /// Gate attached streaming against the detached baseline. The
 /// `sim_throughput` bench records `machine/baseline+streaming` — the
 /// same baseline run while a sampler thread drains delta snapshots to a
 /// `telemetry.jsonl` — and the design target is ≤3% overhead. The CI
-/// gate is deliberately looser (0.8x, like the batched-core gate) and
+/// gate is deliberately looser (0.8x) and
 /// compares best-case `min_ns` rather than the median: CI smokes run
 /// with 2 samples, where one scheduler hiccup doubles the median but
 /// leaves the minimum intact, and a genuine hot-path regression slows

@@ -17,6 +17,7 @@ use std::process::ExitCode;
 use atc_experiments::{f3, Checks, Opts};
 use atc_sim::{run_multicore_lanes, SimConfig};
 use atc_stats::table::Table;
+use atc_types::CancelToken;
 use atc_workloads::{BenchmarkId, Workload};
 
 /// The fixed lane mix: one Low, one Medium and two High STLB-MPKI
@@ -41,7 +42,9 @@ fn main() -> ExitCode {
         .enumerate()
         .map(|(i, b)| b.build(opts.scale, opts.seed + i as u64))
         .collect();
-    let stats = match run_multicore_lanes(&SimConfig::baseline(), &mut wls, warmup, measure, jobs) {
+    let cfg = SimConfig::baseline();
+    let cancel = CancelToken::new();
+    let stats = match run_multicore_lanes(&cfg, &mut wls, warmup, measure, jobs, &cancel) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("lane mix failed: {e}");

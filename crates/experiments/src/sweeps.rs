@@ -23,10 +23,7 @@ use std::collections::BTreeMap;
 use atc_core::{Enhancement, IdealConfig, PolicyChoice};
 use atc_harness::{JobError, JobSpec, Metrics};
 use atc_prefetch::PrefetcherKind;
-use atc_sim::{
-    run_multicore_cancellable, run_one_replay_cancel, run_smt_cancellable, Probes, RunStats,
-    SimConfig,
-};
+use atc_sim::{run_multicore, run_smt, Machine, Probes, RunStats, SimConfig, SimFailure};
 use atc_stats::table::Table;
 use atc_stats::{geomean, harmonic_speedup};
 use atc_types::{AccessClass, CancelToken, MemLevel, PtLevel};
@@ -380,13 +377,16 @@ impl SweepJob {
         let streams = self.streams();
         match self {
             SweepJob::Single { cfg, budget, .. } => {
-                match run_one_replay_cancel(
-                    cfg,
-                    traces.get(streams[0]),
-                    budget.warmup,
-                    budget.measure,
-                    cancel,
-                ) {
+                let run = || -> Result<RunStats, SimFailure> {
+                    let mut wl = traces.replay(streams[0]);
+                    Machine::new(cfg)?.run_cancellable(
+                        &mut wl,
+                        budget.warmup,
+                        budget.measure,
+                        cancel,
+                    )
+                };
+                match run() {
                     Ok(stats) => Ok(metrics_of(&stats)),
                     Err(failure) => {
                         let mut err = JobError {
@@ -404,15 +404,8 @@ impl SweepJob {
             SweepJob::Smt { cfg, budget, .. } => {
                 let mut w0 = traces.replay(streams[0]);
                 let mut w1 = traces.replay(streams[1]);
-                let stats = run_smt_cancellable(
-                    cfg,
-                    &mut w0,
-                    &mut w1,
-                    budget.warmup,
-                    budget.measure,
-                    Some(cancel),
-                )
-                .map_err(sim_job_error)?;
+                let stats = run_smt(cfg, &mut w0, &mut w1, budget.warmup, budget.measure, cancel)
+                    .map_err(sim_job_error)?;
                 let mut m = Metrics::new();
                 for (i, thread) in stats.threads.iter().enumerate() {
                     m.push(&format!("cycles{i}"), thread.cycles as f64);
@@ -425,14 +418,8 @@ impl SweepJob {
                     .iter()
                     .map(|&k| Box::new(traces.replay(k)) as Box<dyn Workload>)
                     .collect();
-                let cores = run_multicore_cancellable(
-                    cfg,
-                    &mut wls,
-                    budget.warmup,
-                    budget.measure,
-                    Some(cancel),
-                )
-                .map_err(sim_job_error)?;
+                let cores = run_multicore(cfg, &mut wls, budget.warmup, budget.measure, cancel)
+                    .map_err(sim_job_error)?;
                 let mut m = Metrics::new();
                 for (i, core) in cores.iter().enumerate() {
                     m.push(&format!("cycles{i}"), core.cycles as f64);

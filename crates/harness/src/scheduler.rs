@@ -124,8 +124,9 @@ pub struct JobRun<R> {
 ///
 /// `cancel` is a fresh token per attempt; the deadline watchdog (when
 /// configured) cancels it once the attempt overruns its budget, and a
-/// cooperative runner — e.g. one calling the simulator's
-/// `run_cancellable` entry points — winds down with partial metrics.
+/// cooperative runner — e.g. one passing it to the simulator's
+/// `Machine::run_cancellable`, `run_smt` or `run_multicore` — winds
+/// down with partial metrics.
 #[derive(Debug, Clone)]
 pub struct JobCtx {
     /// Cooperative cancellation flag for this attempt.

@@ -22,6 +22,20 @@
 //! [`SimError::Deadlock`](atc_types::SimError) wrapped in a
 //! [`SimFailure`] that still carries the partial statistics.
 //!
+//! # Run entries
+//!
+//! One entry per topology, plus the single-core conveniences:
+//!
+//! * [`Machine::run`](machine::Machine::run) and
+//!   [`Machine::run_cancellable`](machine::Machine::run_cancellable) —
+//!   one core, decoding [`DEFAULT_BATCH`] records at a time;
+//! * [`run_one`] and [`run_one_replay`] — build a machine and run a
+//!   generator or a captured trace;
+//! * [`run_smt`], [`run_multicore`] and [`run_multicore_lanes`] — 2-way
+//!   SMT, the shared-LLC multicore and the partitioned-lane multicore.
+//!   The first two share one interleaved engine; each takes a
+//!   [`CancelToken`](atc_types::CancelToken) as its last parameter.
+//!
 //! # Example
 //!
 //! ```
@@ -42,15 +56,12 @@ pub mod telemetry;
 
 pub use atc_obs::TelemetrySnapshot;
 pub use machine::{Machine, Probes, RunStats, SimConfig, SimFailure, DEFAULT_BATCH};
-pub use multicore::{
-    run_multicore, run_multicore_cancellable, run_multicore_lanes, run_multicore_lanes_cancellable,
-};
-pub use smt::{run_smt, run_smt_cancellable};
+pub use multicore::{run_multicore, run_multicore_lanes};
+pub use smt::run_smt;
 pub use telemetry::TelemetryConfig;
 
 use std::sync::Arc;
 
-use atc_types::CancelToken;
 use atc_workloads::trace::{Trace, TraceReplay};
 use atc_workloads::{BenchmarkId, Scale};
 
@@ -97,28 +108,4 @@ pub fn run_one_replay(
     let mut wl = TraceReplay::shared(trace);
     let mut machine = Machine::new(cfg)?;
     machine.run(&mut wl, warmup, measure)
-}
-
-/// [`run_one_replay`] under a cooperative [`CancelToken`].
-///
-/// The access loop polls the token every
-/// [`CANCEL_POLL_INSTRS`](machine::CANCEL_POLL_INSTRS) instructions; a
-/// cancelled run fails with
-/// [`SimError::Cancelled`](atc_types::SimError::Cancelled) and partial
-/// statistics attached, exactly like a deadlock.
-///
-/// # Errors
-///
-/// As [`run_one_replay`], plus a cancellation failure once the token is
-/// observed cancelled.
-pub fn run_one_replay_cancel(
-    cfg: &SimConfig,
-    trace: Arc<Trace>,
-    warmup: u64,
-    measure: u64,
-    cancel: &CancelToken,
-) -> Result<RunStats, SimFailure> {
-    let mut wl = TraceReplay::shared(trace);
-    let mut machine = Machine::new(cfg)?;
-    machine.run_cancellable(&mut wl, warmup, measure, cancel)
 }

@@ -35,9 +35,9 @@ const MAX_PREFETCH_PER_ACCESS: usize = 4;
 /// the poll lands on the first batch boundary at or past the threshold.
 pub const CANCEL_POLL_INSTRS: u64 = 4096;
 
-/// Default batch size of the batched run loop (see
-/// [`Machine::run_batched`]): big enough to amortize the per-batch
-/// decode dispatch, small enough that a batch of `Instr` stays in L1.
+/// Records [`Machine::run`] decodes per [`Workload::next_batch`] call:
+/// big enough to amortize the per-batch decode dispatch, small enough
+/// that a batch of `Instr` stays in L1.
 pub const DEFAULT_BATCH: usize = 64;
 
 /// Optional measurement probes (recall distances, telemetry).
@@ -209,6 +209,37 @@ impl CoreCtx {
             t.reset();
         }
     }
+}
+
+/// Build the LLC for `cores` cores sharing it (MSHRs scale with the
+/// core count): `cfg.llc_policy`, or CbPred on `dppred`'s dead-page
+/// table when [`SimConfig::dppred`] is set, with the recall probe
+/// [`Probes::llc_recall`] asks for. Every topology builds its LLC here.
+pub(crate) fn build_llc(
+    cfg: &SimConfig,
+    dppred: Option<&DpPred>,
+    cores: usize,
+) -> Result<Cache, SimError> {
+    let m = &cfg.machine;
+    let policy = match dppred {
+        // CbPred replaces the LLC policy and shares DpPred's table.
+        Some(p) => (Box::new(p.cbpred_policy(m.llc.sets(), m.llc.ways))
+            as Box<dyn atc_cache::policy::ReplacementPolicy>)
+            .into(),
+        None => cfg.llc_policy.build_impl(m.llc.sets(), m.llc.ways),
+    };
+    let mut llc = Cache::new(
+        "LLC",
+        m.llc.sets(),
+        m.llc.ways,
+        m.llc.latency,
+        m.llc.mshr_entries * cores,
+        policy,
+    )?;
+    if let Some(classes) = &cfg.probes.llc_recall {
+        llc.enable_recall_probe(Probes::CAP, classes);
+    }
+    Ok(llc)
 }
 
 /// Walk the hierarchy from `start` for `info` arriving at `cycle`.
@@ -787,39 +818,18 @@ impl Machine {
     /// [`MachineConfig::validate`] (bad geometry, zero-capacity MSHRs, …).
     pub fn new(cfg: &SimConfig) -> Result<Self, SimError> {
         cfg.machine.validate()?;
-        let m = &cfg.machine;
         let core = CoreCtx::new(cfg)?;
-        let policy = match &core.dppred {
-            // CbPred replaces the LLC policy and shares DpPred's table.
-            Some(p) => (Box::new(p.cbpred_policy(m.llc.sets(), m.llc.ways))
-                as Box<dyn atc_cache::policy::ReplacementPolicy>)
-                .into(),
-            None => cfg.llc_policy.build_impl(m.llc.sets(), m.llc.ways),
-        };
-        let mut llc = Cache::new(
-            "LLC",
-            m.llc.sets(),
-            m.llc.ways,
-            m.llc.latency,
-            m.llc.mshr_entries,
-            policy,
-        )?;
-        if let Some(classes) = &cfg.probes.llc_recall {
-            llc.enable_recall_probe(Probes::CAP, classes);
-        }
+        let llc = build_llc(cfg, core.dppred.as_ref(), 1)?;
         Ok(Machine {
             cfg: cfg.clone(),
             core,
             llc,
-            dram: Dram::new(&m.dram),
+            dram: Dram::new(&cfg.machine.dram),
         })
     }
 
     /// Run `warmup` instructions (state only), then `measure` instructions
-    /// with statistics, and return the measured statistics. Uses the
-    /// batched core at [`DEFAULT_BATCH`]; statistics are byte-identical
-    /// to the scalar reference loop ([`run_scalar`](Self::run_scalar))
-    /// at every batch size.
+    /// with statistics, and return the measured statistics.
     ///
     /// # Errors
     ///
@@ -835,7 +845,7 @@ impl Machine {
         warmup: u64,
         measure: u64,
     ) -> Result<RunStats, SimFailure> {
-        self.run_inner(wl, warmup, measure, None, DEFAULT_BATCH)
+        self.run_cancellable(wl, warmup, measure, &CancelToken::new())
     }
 
     /// [`run`](Self::run) under a cooperative [`CancelToken`]: the run
@@ -845,6 +855,11 @@ impl Machine {
     /// exactly like the deadlock watchdog does. Sweep schedulers use
     /// this to enforce per-job deadlines without killing the worker
     /// thread.
+    ///
+    /// The loop decodes [`DEFAULT_BATCH`] records at a time through
+    /// [`Workload::next_batch`], then executes them one by one, in
+    /// program order. The deadlock watchdog stays per-instruction (a
+    /// ROB-full dispatch can jump the clock on any instruction).
     ///
     /// # Errors
     ///
@@ -857,116 +872,26 @@ impl Machine {
         measure: u64,
         cancel: &CancelToken,
     ) -> Result<RunStats, SimFailure> {
-        self.run_inner(wl, warmup, measure, Some(cancel), DEFAULT_BATCH)
-    }
-
-    /// [`run`](Self::run) at an explicit batch size (decode granularity
-    /// of the batched core). Any `batch >= 1` produces byte-identical
-    /// `RunStats`; the knob exists for the A/B throughput benches and
-    /// the oracle suite.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run), plus [`SimError::Config`] for `batch == 0`.
-    pub fn run_batched(
-        &mut self,
-        wl: &mut dyn Workload,
-        warmup: u64,
-        measure: u64,
-        batch: usize,
-    ) -> Result<RunStats, SimFailure> {
-        self.run_inner(wl, warmup, measure, None, batch)
-    }
-
-    /// [`run_batched`](Self::run_batched) under a cooperative
-    /// [`CancelToken`] (see [`run_cancellable`](Self::run_cancellable)).
-    ///
-    /// # Errors
-    ///
-    /// As [`run_batched`](Self::run_batched), plus
-    /// [`SimError::Cancelled`] once the token is observed cancelled.
-    pub fn run_batched_cancellable(
-        &mut self,
-        wl: &mut dyn Workload,
-        warmup: u64,
-        measure: u64,
-        batch: usize,
-        cancel: &CancelToken,
-    ) -> Result<RunStats, SimFailure> {
-        self.run_inner(wl, warmup, measure, Some(cancel), batch)
-    }
-
-    /// The scalar reference loop: one instruction decoded and executed
-    /// at a time, exactly as the pre-batching core ran. Kept as the
-    /// behavioural reference — the oracle suite proves
-    /// [`run_batched`](Self::run_batched) matches it byte-for-byte at
-    /// every batch size.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_scalar(
-        &mut self,
-        wl: &mut dyn Workload,
-        warmup: u64,
-        measure: u64,
-    ) -> Result<RunStats, SimFailure> {
-        let mut rob = RobModel::new(&self.cfg.machine.core);
-        let mut last_now = rob.now();
-        for (phase, budget) in [warmup, measure].into_iter().enumerate() {
-            for _ in 0..budget {
-                let instr = wl.next_instr();
-                if let Err(error) = self.step(&mut rob, instr, &mut last_now) {
-                    return Err(self.failure(rob, error));
-                }
-            }
-            if phase == 0 {
-                self.reset_stats();
-                rob.reset_measurement();
-            }
-        }
-        Ok(self.collect(rob.finish()))
-    }
-
-    /// The batched core. Decodes `batch` records at a time through
-    /// [`Workload::next_batch`], then executes them one by one, in
-    /// program order, through the same step as the scalar loop. The
-    /// cancel token is polled at batch boundaries against a next-poll
-    /// threshold; the deadlock watchdog stays per-instruction (a
-    /// ROB-full dispatch can jump the clock on any instruction).
-    fn run_inner(
-        &mut self,
-        wl: &mut dyn Workload,
-        warmup: u64,
-        measure: u64,
-        cancel: Option<&CancelToken>,
-        batch: usize,
-    ) -> Result<RunStats, SimFailure> {
-        if batch == 0 {
-            return Err(SimError::config("batch size must be positive").into());
-        }
         let mut rob = RobModel::new(&self.cfg.machine.core);
         let mut last_now = rob.now();
         let mut retired: u64 = 0;
         let mut next_poll: u64 = 0;
-        let mut buf: Vec<Instr> = Vec::with_capacity(batch);
+        let mut buf: Vec<Instr> = Vec::with_capacity(DEFAULT_BATCH);
         for (phase, budget) in [warmup, measure].into_iter().enumerate() {
             let mut remaining = budget;
             while remaining > 0 {
-                if let Some(token) = cancel {
-                    // One relaxed load per CANCEL_POLL_INSTRS retired
-                    // instructions, checked only at batch boundaries.
-                    if retired >= next_poll {
-                        if token.is_cancelled() {
-                            let error = SimError::Cancelled {
-                                instructions: retired,
-                            };
-                            return Err(self.failure(rob, error));
-                        }
-                        next_poll = retired + CANCEL_POLL_INSTRS;
+                // One relaxed load per CANCEL_POLL_INSTRS retired
+                // instructions, checked only at batch boundaries.
+                if retired >= next_poll {
+                    if cancel.is_cancelled() {
+                        let error = SimError::Cancelled {
+                            instructions: retired,
+                        };
+                        return Err(self.failure(rob, error));
                     }
+                    next_poll = retired + CANCEL_POLL_INSTRS;
                 }
-                let n = remaining.min(batch as u64) as usize;
+                let n = remaining.min(DEFAULT_BATCH as u64) as usize;
                 wl.next_batch(&mut buf, n);
                 for &instr in &buf[..n] {
                     if let Err(error) = self.step(&mut rob, instr, &mut last_now) {

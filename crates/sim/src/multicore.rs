@@ -1,105 +1,60 @@
 //! Multi-core multi-programmed mode: N cores with private MMU/L1D/L2C,
 //! sharing one LLC (2 MiB per core) and the DRAM channels — the paper's
-//! 8-core evaluation (§V).
+//! 8-core evaluation (§V) — and the interleaved engine it shares with
+//! 2-way SMT.
 
-use atc_cache::Cache;
 use atc_cpu::{CoreStats, RobModel};
 use atc_dram::Dram;
 use atc_types::{CancelToken, SimError};
 use atc_workloads::Workload;
 
 use crate::machine::{
-    deadlock_diag, exec_instr_opts, CoreCtx, Machine, SimConfig, CANCEL_POLL_INSTRS,
+    build_llc, deadlock_diag, exec_instr_opts, CoreCtx, Machine, SimConfig, CANCEL_POLL_INSTRS,
 };
 
-/// Per-core virtual-address-space offset.
-const CORE_VA_STRIDE: u64 = 1 << 47;
+/// Per-thread virtual-address-space offset (bit 47: above every workload
+/// base, well inside the 57-bit VA), so threads and cores run disjoint
+/// address spaces.
+const THREAD_VA_STRIDE: u64 = 1 << 47;
 
-/// Run `workloads.len()` cores, each executing `warmup` + `measure`
-/// instructions against private L1D/L2C/TLBs and a shared, size-scaled
-/// LLC. Returns per-core measured statistics.
-///
-/// # Errors
-///
-/// Returns [`SimError::Config`] when `workloads` is empty or the scaled
-/// machine configuration is invalid, and [`SimError::Deadlock`] if any
-/// core's clock stops making forward progress (see
-/// [`SimConfig::watchdog_cycles`]).
-pub fn run_multicore(
+/// The interleaved engine behind SMT and the shared multicore: thread
+/// `i` runs `wls[i]` on core `i % cores.len()` with its own ROB, and
+/// every core shares one LLC and DRAM built from `cfg` (already scaled
+/// for the core count; under DpPred the LLC's CbPred reads core 0's
+/// dead-page table). Each step executes one instruction of the
+/// unfinished thread whose ROB clock lags most (lowest index on ties),
+/// which approximates fine-grained sharing without a cycle-accurate
+/// scheduler; a thread that finishes its phase early stops issuing.
+/// `cancel` is polled every [`CANCEL_POLL_INSTRS`] interleaved
+/// instructions. Returns each thread's measured statistics.
+pub(crate) fn run_interleaved(
     cfg: &SimConfig,
-    workloads: &mut [Box<dyn Workload>],
+    cores: &mut [CoreCtx],
+    wls: &mut [&mut dyn Workload],
     warmup: u64,
     measure: u64,
+    cancel: &CancelToken,
 ) -> Result<Vec<CoreStats>, SimError> {
-    run_multicore_cancellable(cfg, workloads, warmup, measure, None)
-}
-
-/// [`run_multicore`] under an optional cooperative [`CancelToken`],
-/// polled every [`CANCEL_POLL_INSTRS`] interleaved instructions (see
-/// [`Machine::run_cancellable`](crate::Machine::run_cancellable)).
-///
-/// # Errors
-///
-/// As [`run_multicore`], plus [`SimError::Cancelled`] once the token is
-/// observed cancelled.
-pub fn run_multicore_cancellable(
-    cfg: &SimConfig,
-    workloads: &mut [Box<dyn Workload>],
-    warmup: u64,
-    measure: u64,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<CoreStats>, SimError> {
-    if workloads.is_empty() {
-        return Err(SimError::config("multicore: need at least one workload"));
-    }
-    let n = workloads.len();
-    let mut mcfg = cfg.clone();
-    mcfg.machine = mcfg.machine.with_llc_scaled_for_cores(n);
-    // One DDR channel per four cores, as in Table I.
-    mcfg.machine.dram.channels = n.div_ceil(4);
-    mcfg.machine.validate()?;
-    let m = &mcfg.machine;
-    let watchdog = mcfg.watchdog_cycles.max(1);
-
-    let mut cores: Vec<CoreCtx> = (0..n)
-        .map(|_| CoreCtx::new(&mcfg))
-        .collect::<Result<_, _>>()?;
-    let mut llc = Cache::new(
-        "LLC",
-        m.llc.sets(),
-        m.llc.ways,
-        m.llc.latency,
-        m.llc.mshr_entries * n,
-        mcfg.llc_policy.build(m.llc.sets(), m.llc.ways),
-    )?;
-    let mut dram = Dram::new(&m.dram);
-    let mut robs: Vec<RobModel> = (0..n).map(|_| RobModel::new(&m.core)).collect();
-
-    let phase = |cores: &mut Vec<CoreCtx>,
-                 robs: &mut Vec<RobModel>,
-                 llc: &mut Cache,
-                 dram: &mut Dram,
-                 wls: &mut [Box<dyn Workload>],
-                 budget: u64|
-     -> Result<(), SimError> {
-        let mut done = vec![0u64; n];
-        let mut steps: u64 = 0;
-        // Next-poll threshold, not a divisibility test: robust even if
-        // the step counter ever advances by more than one at a time.
+    let watchdog = cfg.watchdog_cycles.max(1);
+    let mut llc = build_llc(cfg, cores[0].dppred.as_ref(), cores.len())?;
+    let mut dram = Dram::new(&cfg.machine.dram);
+    let mut robs: Vec<RobModel> = wls
+        .iter()
+        .map(|_| RobModel::new(&cfg.machine.core))
+        .collect();
+    for (phase, budget) in [warmup, measure].into_iter().enumerate() {
+        let mut done = vec![0u64; wls.len()];
+        let mut retired: u64 = 0;
         let mut next_poll: u64 = 0;
         loop {
-            if let Some(token) = cancel {
-                if steps >= next_poll {
-                    if token.is_cancelled() {
-                        return Err(SimError::Cancelled {
-                            instructions: done.iter().sum(),
-                        });
-                    }
-                    next_poll = steps + CANCEL_POLL_INSTRS;
+            if retired >= next_poll {
+                if cancel.is_cancelled() {
+                    return Err(SimError::Cancelled {
+                        instructions: retired,
+                    });
                 }
+                next_poll = retired + CANCEL_POLL_INSTRS;
             }
-            steps += 1;
-            // Pick the unfinished core whose clock lags most.
             let mut pick: Option<(usize, u64)> = None;
             for (i, d) in done.iter().enumerate() {
                 if *d < budget {
@@ -110,42 +65,75 @@ pub fn run_multicore_cancellable(
                 }
             }
             let Some((i, before)) = pick else { break };
-            let instr = wls[i].next_instr();
+            let core = &mut cores[i % cores.len()];
             exec_instr_opts(
-                &mut cores[i],
-                llc,
-                dram,
-                &mcfg.ideal,
+                core,
+                &mut llc,
+                &mut dram,
+                &cfg.ideal,
                 &mut robs[i],
-                instr,
-                i as u64 * CORE_VA_STRIDE,
-                mcfg.ignore_deps,
+                wls[i].next_instr(),
+                i as u64 * THREAD_VA_STRIDE,
+                cfg.ignore_deps,
             )?;
             if robs[i].now().saturating_sub(before) > watchdog {
-                let diag = deadlock_diag(&robs[i], &cores[i], llc, before);
+                let diag = deadlock_diag(&robs[i], core, &llc, before);
                 return Err(SimError::Deadlock(Box::new(diag)));
             }
             done[i] += 1;
+            retired += 1;
         }
-        Ok(())
-    };
-
-    phase(
-        &mut cores, &mut robs, &mut llc, &mut dram, workloads, warmup,
-    )?;
-    for c in cores.iter_mut() {
-        c.reset_stats();
+        if phase == 0 {
+            for c in cores.iter_mut() {
+                c.reset_stats();
+            }
+            llc.reset_stats();
+            dram.reset_stats();
+            for r in robs.iter_mut() {
+                r.reset_measurement();
+            }
+        }
     }
-    llc.reset_stats();
-    dram.reset_stats();
-    for r in robs.iter_mut() {
-        r.reset_measurement();
-    }
-    phase(
-        &mut cores, &mut robs, &mut llc, &mut dram, workloads, measure,
-    )?;
+    Ok(robs.into_iter().map(RobModel::finish).collect())
+}
 
-    Ok(robs.into_iter().map(|r| r.finish()).collect())
+/// Run `workloads.len()` cores, each executing `warmup` + `measure`
+/// instructions against private L1D/L2C/TLBs and a shared, size-scaled
+/// LLC, under a cooperative [`CancelToken`] polled every
+/// [`CANCEL_POLL_INSTRS`] interleaved instructions. Returns per-core
+/// measured statistics.
+///
+/// # Errors
+///
+/// Returns [`SimError::Config`] when `workloads` is empty or the scaled
+/// machine configuration is invalid, [`SimError::Deadlock`] if any
+/// core's clock stops making forward progress (see
+/// [`SimConfig::watchdog_cycles`]), and [`SimError::Cancelled`] once the
+/// token is observed cancelled.
+pub fn run_multicore(
+    cfg: &SimConfig,
+    workloads: &mut [Box<dyn Workload>],
+    warmup: u64,
+    measure: u64,
+    cancel: &CancelToken,
+) -> Result<Vec<CoreStats>, SimError> {
+    if workloads.is_empty() {
+        return Err(SimError::config("multicore: need at least one workload"));
+    }
+    let n = workloads.len();
+    let mut mcfg = cfg.clone();
+    mcfg.machine = mcfg.machine.with_llc_scaled_for_cores(n);
+    // One DDR channel per four cores, as in Table I.
+    mcfg.machine.dram.channels = n.div_ceil(4);
+    mcfg.machine.validate()?;
+    let mut cores: Vec<CoreCtx> = (0..n)
+        .map(|_| CoreCtx::new(&mcfg))
+        .collect::<Result<_, _>>()?;
+    let mut wls: Vec<&mut dyn Workload> = workloads
+        .iter_mut()
+        .map(|w| &mut **w as &mut dyn Workload)
+        .collect();
+    run_interleaved(&mcfg, &mut cores, &mut wls, warmup, measure, cancel)
 }
 
 /// Partitioned-lane multicore: each core owns its *entire* hierarchy —
@@ -164,6 +152,9 @@ pub fn run_multicore_cancellable(
 /// byte-identical statistics (`jobs == 1` runs the serial twin on the
 /// caller's thread; `ci.sh` diffs the two).
 ///
+/// Every lane polls `cancel` exactly as
+/// [`Machine::run_cancellable`] does.
+///
 /// # Errors
 ///
 /// Returns [`SimError::Config`] when `workloads` is empty, `jobs == 0`,
@@ -176,25 +167,7 @@ pub fn run_multicore_lanes(
     warmup: u64,
     measure: u64,
     jobs: usize,
-) -> Result<Vec<CoreStats>, SimError> {
-    run_multicore_lanes_cancellable(cfg, workloads, warmup, measure, jobs, None)
-}
-
-/// [`run_multicore_lanes`] under an optional cooperative [`CancelToken`]
-/// shared by every lane (each lane polls it exactly as
-/// [`Machine::run_cancellable`](crate::Machine::run_cancellable) does).
-///
-/// # Errors
-///
-/// As [`run_multicore_lanes`], plus [`SimError::Cancelled`] once any
-/// lane observes the token cancelled (lowest such lane wins).
-pub fn run_multicore_lanes_cancellable(
-    cfg: &SimConfig,
-    workloads: &mut [Box<dyn Workload>],
-    warmup: u64,
-    measure: u64,
-    jobs: usize,
-    cancel: Option<&CancelToken>,
+    cancel: &CancelToken,
 ) -> Result<Vec<CoreStats>, SimError> {
     if workloads.is_empty() {
         return Err(SimError::config(
@@ -207,12 +180,9 @@ pub fn run_multicore_lanes_cancellable(
     cfg.machine.validate()?;
 
     let run_lane = |wl: &mut Box<dyn Workload>| -> Result<CoreStats, SimError> {
-        let mut m = Machine::new(cfg)?;
-        let stats = match cancel {
-            Some(token) => m.run_cancellable(wl.as_mut(), warmup, measure, token),
-            None => m.run(wl.as_mut(), warmup, measure),
-        }
-        .map_err(|failure| failure.error)?;
+        let stats = Machine::new(cfg)?
+            .run_cancellable(wl.as_mut(), warmup, measure, cancel)
+            .map_err(|failure| failure.error)?;
         Ok(stats.core)
     };
 
@@ -276,7 +246,8 @@ mod tests {
         .enumerate()
         .map(|(i, b)| b.build(Scale::Test, i as u64 + 1))
         .collect();
-        let stats = run_multicore(&cfg, &mut wls, 1_000, 5_000).expect("mix runs");
+        let stats =
+            run_multicore(&cfg, &mut wls, 1_000, 5_000, &CancelToken::new()).expect("mix runs");
         assert_eq!(stats.len(), 4);
         for s in &stats {
             assert_eq!(s.instructions, 5_000);
@@ -286,18 +257,22 @@ mod tests {
 
     #[test]
     fn single_core_multicore_matches_machine_shape() {
+        // One core of the interleaved engine is the single-core machine.
         let cfg = SimConfig::baseline();
         let mut wls: Vec<Box<dyn Workload>> = vec![BenchmarkId::Cc.build(Scale::Test, 5)];
-        let stats = run_multicore(&cfg, &mut wls, 1_000, 5_000).expect("single core runs");
-        assert_eq!(stats.len(), 1);
-        assert!(stats[0].cycles > 0);
+        let stats = run_multicore(&cfg, &mut wls, 1_000, 5_000, &CancelToken::new())
+            .expect("single core runs");
+        let mut wl = BenchmarkId::Cc.build(Scale::Test, 5);
+        let mut m = Machine::new(&cfg).expect("valid config");
+        let alone = m.run(wl.as_mut(), 1_000, 5_000).expect("alone run");
+        assert_eq!(format!("{stats:?}"), format!("{:?}", [alone.core]));
     }
 
     #[test]
     fn empty_mix_is_a_config_error() {
         let cfg = SimConfig::baseline();
         let mut wls: Vec<Box<dyn Workload>> = Vec::new();
-        let err = run_multicore(&cfg, &mut wls, 100, 100).unwrap_err();
+        let err = run_multicore(&cfg, &mut wls, 100, 100, &CancelToken::new()).unwrap_err();
         assert!(matches!(err, SimError::Config(_)), "{err}");
     }
 
@@ -318,10 +293,18 @@ mod tests {
     fn lanes_match_serial_twin_at_every_job_count() {
         let cfg = SimConfig::baseline();
         let serial =
-            run_multicore_lanes(&cfg, &mut lane_mix(), 1_000, 5_000, 1).expect("serial twin");
+            run_multicore_lanes(&cfg, &mut lane_mix(), 1_000, 5_000, 1, &CancelToken::new())
+                .expect("serial twin");
         for jobs in [2, 3, 4, 7] {
-            let concurrent = run_multicore_lanes(&cfg, &mut lane_mix(), 1_000, 5_000, jobs)
-                .expect("concurrent lanes");
+            let concurrent = run_multicore_lanes(
+                &cfg,
+                &mut lane_mix(),
+                1_000,
+                5_000,
+                jobs,
+                &CancelToken::new(),
+            )
+            .expect("concurrent lanes");
             assert_eq!(concurrent.len(), serial.len());
             for (lane, (c, s)) in concurrent.iter().zip(&serial).enumerate() {
                 assert_eq!(
@@ -338,7 +321,9 @@ mod tests {
         // Each lane owns its private hierarchy slice, so lane stats must
         // equal a standalone single-core run of the same workload.
         let cfg = SimConfig::baseline();
-        let stats = run_multicore_lanes(&cfg, &mut lane_mix(), 1_000, 5_000, 2).expect("lanes");
+        let stats =
+            run_multicore_lanes(&cfg, &mut lane_mix(), 1_000, 5_000, 2, &CancelToken::new())
+                .expect("lanes");
         for (i, (b, lane)) in [
             BenchmarkId::Mcf,
             BenchmarkId::Pr,
@@ -350,7 +335,7 @@ mod tests {
         .enumerate()
         {
             let mut wl = b.build(Scale::Test, i as u64 + 1);
-            let mut m = crate::Machine::new(&cfg).expect("machine");
+            let mut m = Machine::new(&cfg).expect("machine");
             let alone = m.run(wl.as_mut(), 1_000, 5_000).expect("alone run");
             assert_eq!(lane.cycles, alone.core.cycles, "lane {i} ({})", b.name());
             assert_eq!(lane.instructions, alone.core.instructions);
@@ -360,21 +345,21 @@ mod tests {
     #[test]
     fn lanes_reject_zero_jobs_and_empty_mixes() {
         let cfg = SimConfig::baseline();
-        let err = run_multicore_lanes(&cfg, &mut lane_mix(), 100, 100, 0).unwrap_err();
+        let err = run_multicore_lanes(&cfg, &mut lane_mix(), 100, 100, 0, &CancelToken::new())
+            .unwrap_err();
         assert!(matches!(err, SimError::Config(_)), "{err}");
         let mut empty: Vec<Box<dyn Workload>> = Vec::new();
-        let err = run_multicore_lanes(&cfg, &mut empty, 100, 100, 2).unwrap_err();
+        let err =
+            run_multicore_lanes(&cfg, &mut empty, 100, 100, 2, &CancelToken::new()).unwrap_err();
         assert!(matches!(err, SimError::Config(_)), "{err}");
     }
 
     #[test]
     fn cancelled_lanes_surface_cancellation() {
         let cfg = SimConfig::baseline();
-        let token = atc_types::CancelToken::new();
+        let token = CancelToken::new();
         token.cancel();
-        let err =
-            run_multicore_lanes_cancellable(&cfg, &mut lane_mix(), 1_000, 5_000, 2, Some(&token))
-                .unwrap_err();
+        let err = run_multicore_lanes(&cfg, &mut lane_mix(), 1_000, 5_000, 2, &token).unwrap_err();
         assert!(matches!(err, SimError::Cancelled { .. }), "{err}");
     }
 }

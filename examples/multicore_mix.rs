@@ -9,6 +9,7 @@
 use atc_core::Enhancement;
 use atc_sim::{run_multicore, SimConfig};
 use atc_stats::harmonic_speedup;
+use atc_types::CancelToken;
 use atc_workloads::{BenchmarkId, Scale, Workload};
 
 fn main() {
@@ -22,7 +23,8 @@ fn main() {
             .enumerate()
             .map(|(i, b)| b.build(Scale::Small, i as u64 + 1))
             .collect();
-        run_multicore(cfg, &mut wls, warmup, measure).expect("mix runs to completion")
+        run_multicore(cfg, &mut wls, warmup, measure, &CancelToken::new())
+            .expect("mix runs to completion")
     };
 
     println!("8-core heterogeneous mix, {measure} instructions per core\n");

@@ -9,6 +9,7 @@
 use atc_core::Enhancement;
 use atc_sim::{run_smt, SimConfig};
 use atc_stats::harmonic_speedup;
+use atc_types::CancelToken;
 use atc_workloads::{BenchmarkId, Scale};
 
 fn main() {
@@ -18,7 +19,9 @@ fn main() {
     let run = |cfg: &SimConfig| {
         let mut w0 = a.build(Scale::Small, 1);
         let mut w1 = b.build(Scale::Small, 2);
-        run_smt(cfg, w0.as_mut(), w1.as_mut(), warmup, measure).expect("pair runs to completion")
+        let cancel = CancelToken::new();
+        run_smt(cfg, w0.as_mut(), w1.as_mut(), warmup, measure, &cancel)
+            .expect("pair runs to completion")
     };
 
     let base = run(&SimConfig::baseline());

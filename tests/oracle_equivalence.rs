@@ -1,22 +1,22 @@
-//! Oracle suite for the simulator's single timing path.
+//! Oracle suite for the simulator's run loops.
 //!
-//! * **Scalar vs batched** — `Machine::run_batched` must be observably
-//!   identical to the scalar reference loop (`Machine::run_scalar`):
-//!   byte-identical `RunStats` (compared through their exhaustive
-//!   `Debug` rendering, which covers every counter, histogram and
-//!   telemetry snapshot) at batch sizes {1, 7, 64, 4096} across
-//!   randomized configurations, including the partial statistics of a
-//!   deadlocked run and cancellation mid-batch.
-//! * **Pinned digests** — the FNV-1a digest of that rendering for a
-//!   fixed config × benchmark matrix, recorded when the batched loop
-//!   still had a separate pre-pass. Both loops now share one
-//!   per-instruction step, so these pins are the reference that is
-//!   independent of it.
+//! * **Pinned digests** — FNV-1a digests of the exhaustive `Debug`
+//!   rendering of `RunStats` (every counter, histogram and telemetry
+//!   snapshot) for a fixed config × benchmark matrix, for randomized
+//!   configurations, and for the partial statistics of a deadlocked
+//!   run; and of `SmtStats` and the shared multicore's per-core
+//!   `CoreStats` for base and tempo, with and without `ignore_deps`.
+//!   Each was recorded from an earlier implementation of the loop it
+//!   pins, so they are references independent of the current code.
+//! * **Cancellation** — the poll threshold is observed even when it
+//!   falls inside a decode batch.
 //! * **Observation** — attaching telemetry must not change what runs.
 //! * **Multi-context modes** — `run_multicore_lanes` (one `Machine` per
-//!   lane) must match a scalar-oracle run of each lane at every worker
-//!   count; `run_multicore` and `run_smt` must be run-to-run
-//!   deterministic and honour `SimConfig::ignore_deps`.
+//!   lane) must match a standalone `Machine::run` of each lane at every
+//!   worker count; the shared multicore on one workload must equal
+//!   `Machine::run`, DpPred included; `run_multicore` and `run_smt`
+//!   must be run-to-run deterministic and honour
+//!   `SimConfig::ignore_deps`.
 
 use atc_bench::fnv1a;
 use atc_core::{Enhancement, IdealConfig, PolicyChoice};
@@ -24,14 +24,11 @@ use atc_prefetch::PrefetcherKind;
 use atc_sim::machine::CANCEL_POLL_INSTRS;
 use atc_sim::{
     run_multicore, run_multicore_lanes, run_smt, Machine, RunStats, SimConfig, TelemetryConfig,
+    DEFAULT_BATCH,
 };
 use atc_types::rng::SimRng;
 use atc_types::{CancelToken, SimError};
 use atc_workloads::{BenchmarkId, Instr, Scale, Workload};
-
-/// 7 and 4096 bracket the interesting cases: 7 never divides the cancel
-/// stride, 4096 exceeds any phase remainder the tests use.
-const BATCHES: [usize; 4] = [1, 7, 64, 4096];
 
 const BENCHES: [BenchmarkId; 4] = [
     BenchmarkId::Mcf,
@@ -42,31 +39,6 @@ const BENCHES: [BenchmarkId; 4] = [
 
 fn digest(s: &RunStats) -> String {
     format!("{s:?}")
-}
-
-fn run_scalar(cfg: &SimConfig, bench: BenchmarkId, seed: u64, warmup: u64, measure: u64) -> String {
-    let mut wl = bench.build(Scale::Test, seed);
-    let mut m = Machine::new(cfg).expect("valid config");
-    digest(
-        &m.run_scalar(wl.as_mut(), warmup, measure)
-            .expect("scalar run"),
-    )
-}
-
-fn run_batched(
-    cfg: &SimConfig,
-    bench: BenchmarkId,
-    seed: u64,
-    warmup: u64,
-    measure: u64,
-    batch: usize,
-) -> String {
-    let mut wl = bench.build(Scale::Test, seed);
-    let mut m = Machine::new(cfg).expect("valid config");
-    digest(
-        &m.run_batched(wl.as_mut(), warmup, measure, batch)
-            .expect("batched run"),
-    )
 }
 
 /// `cfg` with a 256-entry STLB: Test-scale footprints then walk the
@@ -119,13 +91,18 @@ fn random_config(rng: &mut SimRng) -> SimConfig {
     cfg
 }
 
+/// Digest of the concatenated `RunStats` renderings of
+/// [`randomized_config_digests_are_pinned`]'s eight runs.
+const RANDOMIZED_PIN: u64 = 0xa677_9ce4_3953_c67b;
+
 /// Randomized configurations (policies, enhancements, prefetchers,
 /// oracles, telemetry, recall probes), led by the walk-heavy baseline
 /// with nothing attached on a miss-heavy and a walk-heavy benchmark:
-/// every batch size reproduces the scalar loop's statistics byte for
-/// byte, telemetry counters included.
+/// their statistics, telemetry counters included, match the digest
+/// recorded when a scalar reference loop still checked the batched one
+/// at batch sizes {1, 7, 64, 4096}.
 #[test]
-fn randomized_configs_match_scalar_at_every_batch_size() {
+fn randomized_config_digests_are_pinned() {
     let mut rng = SimRng::seed_from_u64(0xba7c4);
     let mut cases = vec![
         (walk_heavy(SimConfig::baseline()), BenchmarkId::Mcf, 3),
@@ -137,57 +114,47 @@ fn randomized_configs_match_scalar_at_every_batch_size() {
         let seed = 1 + rng.next_below(1000);
         cases.push((cfg, bench, seed));
     }
-    for (case, (cfg, bench, seed)) in cases.iter().enumerate() {
-        let reference = run_scalar(cfg, *bench, *seed, 1_000, 5_000);
-        for batch in BATCHES {
-            let got = run_batched(cfg, *bench, *seed, 1_000, 5_000, batch);
-            assert_eq!(
-                got,
-                reference,
-                "case {case} ({}, seed {seed}, batch {batch}): batched stats diverge\ncfg: {cfg:?}",
-                bench.name()
-            );
-        }
+    let mut all = String::new();
+    for (cfg, bench, seed) in &cases {
+        let mut wl = bench.build(Scale::Test, *seed);
+        let mut m = Machine::new(cfg).expect("valid config");
+        all.push_str(&digest(
+            &m.run(wl.as_mut(), 1_000, 5_000).expect("healthy run"),
+        ));
     }
+    assert_eq!(
+        fnv1a(all.as_bytes()),
+        RANDOMIZED_PIN,
+        "randomized-config RunStats moved; cases: {cases:?}"
+    );
 }
 
-/// A `SimFailure` must be batch-invariant too: the deadlock watchdog
-/// fires per instruction in both loops, so the error diagnostic and the
-/// salvaged partial statistics are identical at every batch size.
+/// Digest of a deadlocked run's error diagnostic and partial
+/// `RunStats`, recorded alongside [`RANDOMIZED_PIN`].
+const DEADLOCK_PIN: u64 = 0xb5cd_00fc_9681_739a;
+
+/// A `SimFailure` is pinned too: the deadlock watchdog fires per
+/// instruction, so the error diagnostic and the salvaged partial
+/// statistics do not depend on where a decode batch ends.
 #[test]
-fn deadlock_partial_stats_match_scalar_at_every_batch_size() {
+fn deadlock_partial_stats_are_pinned() {
     const NEVER: u64 = 1_000_000_000_000;
     let mut cfg = walk_heavy(SimConfig::baseline());
     cfg.machine.dram.row_hit_cycles = NEVER;
     cfg.machine.dram.row_miss_cycles = NEVER;
     cfg.watchdog_cycles = 1_000_000;
 
-    let fail_digest = |fail: atc_sim::SimFailure| {
-        let partial = fail.partial.as_ref().expect("partial stats present");
-        format!("{:?} || {}", fail.error, digest(partial))
-    };
-
     let mut wl = BenchmarkId::Mcf.build(Scale::Test, 3);
     let mut m = Machine::new(&cfg).expect("valid config");
-    let reference = fail_digest(m.run_scalar(wl.as_mut(), 2_000, 20_000).unwrap_err());
-    for batch in BATCHES {
-        let mut wl = BenchmarkId::Mcf.build(Scale::Test, 3);
-        let mut m = Machine::new(&cfg).expect("valid config");
-        let got = fail_digest(
-            m.run_batched(wl.as_mut(), 2_000, 20_000, batch)
-                .unwrap_err(),
-        );
-        assert_eq!(got, reference, "batch={batch}: failure digest diverges");
-    }
-}
-
-/// A zero batch size is a configuration error, not a hang or a panic.
-#[test]
-fn zero_batch_size_is_a_config_error() {
-    let mut wl = BenchmarkId::Mcf.build(Scale::Test, 3);
-    let mut m = Machine::new(&SimConfig::baseline()).unwrap();
-    let fail = m.run_batched(wl.as_mut(), 100, 100, 0).unwrap_err();
-    assert!(matches!(fail.error, SimError::Config(_)), "{}", fail.error);
+    let fail = m.run(wl.as_mut(), 2_000, 20_000).unwrap_err();
+    assert!(fail.error.is_deadlock(), "{}", fail.error);
+    let partial = fail.partial.as_ref().expect("partial stats present");
+    let rendered = format!("{:?} || {}", fail.error, digest(partial));
+    assert_eq!(
+        fnv1a(rendered.as_bytes()),
+        DEADLOCK_PIN,
+        "failure digest moved: {rendered}"
+    );
 }
 
 /// Cancels its token after issuing `after` instructions, mid-batch from
@@ -213,17 +180,18 @@ impl Workload for CancelAfter {
     }
 }
 
-/// Regression for the divisibility poll: with a batch size that does not
-/// divide `CANCEL_POLL_INSTRS`, the retired counter steps over every
-/// multiple of 4096, so an `is_multiple_of` poll would never fire and
-/// the run would ignore cancellation entirely. The threshold comparison
-/// must observe the token within one poll stride plus one batch.
+/// Regression for the divisibility poll: a warm-up that is not a
+/// multiple of [`DEFAULT_BATCH`] leaves every later batch boundary off
+/// the multiples of `CANCEL_POLL_INSTRS`, so an `is_multiple_of` poll
+/// would never fire and the run would ignore cancellation entirely. The
+/// threshold comparison must observe the token within one poll stride
+/// plus one batch.
 #[test]
 fn cancellation_observed_mid_batch_with_non_dividing_batch_size() {
+    const WARMUP: u64 = 1_000;
     const AFTER: u64 = 5_000;
     const MEASURE: u64 = 40_000;
-    const BATCH: usize = 7; // 4096 % 7 != 0, and 7 ∤ 4096
-    assert!(!CANCEL_POLL_INSTRS.is_multiple_of(BATCH as u64));
+    assert!(!WARMUP.is_multiple_of(DEFAULT_BATCH as u64));
 
     let token = CancelToken::new();
     let mut wl = CancelAfter {
@@ -234,7 +202,7 @@ fn cancellation_observed_mid_batch_with_non_dividing_batch_size() {
     };
     let mut m = Machine::new(&SimConfig::baseline()).unwrap();
     let fail = m
-        .run_batched_cancellable(&mut wl, 0, MEASURE, BATCH, &token)
+        .run_cancellable(&mut wl, WARMUP, MEASURE, &token)
         .expect_err("run must abort once the token is cancelled");
     let SimError::Cancelled { instructions } = fail.error else {
         panic!("expected cancellation, got: {}", fail.error);
@@ -243,9 +211,9 @@ fn cancellation_observed_mid_batch_with_non_dividing_batch_size() {
         (AFTER..AFTER + 2 * CANCEL_POLL_INSTRS).contains(&instructions),
         "cancel observed at {instructions}, expected within one poll stride of {AFTER}"
     );
-    assert!(instructions < MEASURE, "run must not complete");
+    assert!(instructions < WARMUP + MEASURE, "run must not complete");
     let partial = fail.partial.expect("cancellation salvages partial stats");
-    assert_eq!(partial.core.instructions, instructions);
+    assert_eq!(partial.core.instructions, instructions - WARMUP);
 }
 
 /// The pinned matrix: catalog configs `base`, `tempo`, `tempo` with a
@@ -366,7 +334,7 @@ fn build_mix(mix: &[(BenchmarkId, u64)]) -> Vec<Box<dyn Workload>> {
 }
 
 /// `run_multicore_lanes` runs one `Machine` per lane on its own thread;
-/// every lane's `CoreStats` must equal a standalone scalar-oracle run of
+/// every lane's `CoreStats` must equal a standalone `Machine::run` of
 /// that lane's workload, at every worker count.
 #[test]
 fn lanes_match_the_scalar_oracle_under_random_configs() {
@@ -380,33 +348,151 @@ fn lanes_match_the_scalar_oracle_under_random_configs() {
             .map(|(b, s)| {
                 let mut wl = b.build(Scale::Test, *s);
                 let mut m = Machine::new(&cfg).expect("valid config");
-                let stats = m.run_scalar(wl.as_mut(), 1_000, 4_000).expect("oracle run");
+                let stats = m.run(wl.as_mut(), 1_000, 4_000).expect("oracle run");
                 format!("{:?}", stats.core)
             })
             .collect();
         for jobs in [1usize, 2, 5] {
-            let got = run_multicore_lanes(&cfg, &mut build_mix(&mix), 1_000, 4_000, jobs)
-                .expect("lane run");
+            let got = run_multicore_lanes(
+                &cfg,
+                &mut build_mix(&mix),
+                1_000,
+                4_000,
+                jobs,
+                &CancelToken::new(),
+            )
+            .expect("lane run");
             let got: Vec<String> = got.iter().map(|c| format!("{c:?}")).collect();
             assert_eq!(
                 got, oracle,
-                "trial {trial} (mix {mix:?}, jobs {jobs}): lane stats diverge from the \
-                 scalar oracle\ncfg: {cfg:?}"
+                "trial {trial} (mix {mix:?}, jobs {jobs}): lane stats diverge from \
+                 Machine::run\ncfg: {cfg:?}"
             );
         }
     }
 }
 
 fn shared_multicore(cfg: &SimConfig, mix: &[(BenchmarkId, u64)]) -> String {
-    let stats = run_multicore(cfg, &mut build_mix(mix), 1_000, 4_000).expect("shared run");
+    let stats = run_multicore(cfg, &mut build_mix(mix), 2_000, 10_000, &CancelToken::new())
+        .expect("shared run");
     format!("{stats:?}")
 }
 
 fn smt(cfg: &SimConfig, mix: &[(BenchmarkId, u64)]) -> String {
     let mut wls = build_mix(mix);
     let (a, b) = wls.split_at_mut(1);
-    let stats = run_smt(cfg, a[0].as_mut(), b[0].as_mut(), 1_000, 4_000).expect("smt run");
+    let stats = run_smt(
+        cfg,
+        a[0].as_mut(),
+        b[0].as_mut(),
+        2_000,
+        10_000,
+        &CancelToken::new(),
+    )
+    .expect("smt run");
     format!("{stats:?}")
+}
+
+/// The shared-mode matrix: base and tempo, with and without
+/// `ignore_deps`.
+fn shared_matrix() -> Vec<(&'static str, SimConfig)> {
+    let nodeps = |mut cfg: SimConfig| {
+        cfg.ignore_deps = true;
+        cfg
+    };
+    let tempo = || SimConfig::with_enhancement(Enhancement::Tempo);
+    vec![
+        ("base", SimConfig::baseline()),
+        ("base-nodeps", nodeps(SimConfig::baseline())),
+        ("tempo", tempo()),
+        ("tempo-nodeps", nodeps(tempo())),
+    ]
+}
+
+const SMT_MIXES: [&[(BenchmarkId, u64)]; 2] = [
+    &[(BenchmarkId::Mcf, 1), (BenchmarkId::Pr, 2)],
+    &[(BenchmarkId::Canneal, 3), (BenchmarkId::Xalancbmk, 4)],
+];
+
+const MULTICORE_MIXES: [&[(BenchmarkId, u64)]; 2] = [
+    &[(BenchmarkId::Mcf, 1), (BenchmarkId::Pr, 2)],
+    &[
+        (BenchmarkId::Canneal, 3),
+        (BenchmarkId::Xalancbmk, 4),
+        (BenchmarkId::Pr, 5),
+        (BenchmarkId::Mcf, 6),
+    ],
+];
+
+/// Digests of `format!("{:?}", SmtStats)` for [`shared_matrix`] ×
+/// [`SMT_MIXES`] (2k warm-up + 10k measured per thread), in matrix
+/// order, recorded when SMT still ran its own interleave loop.
+const SMT_PINNED: [u64; 8] = [
+    0xafc6_9fdb_da4b_42cb,
+    0xc466_328f_15c7_7d2a,
+    0xb42b_76b7_9b00_4cc4,
+    0x9ee6_ac72_ac09_b4c3,
+    0xa5c0_c83b_e73c_81b0,
+    0xb77e_d227_4adc_ae29,
+    0xf08e_3b30_2150_9134,
+    0x4ce1_70fc_8906_eb36,
+];
+
+/// Digests of the shared multicore's `format!("{:?}", Vec<CoreStats>)`
+/// for [`shared_matrix`] × [`MULTICORE_MIXES`], recorded with
+/// [`SMT_PINNED`] when the shared multicore ran its own loop.
+const MULTICORE_PINNED: [u64; 8] = [
+    0x743c_0cae_9f79_c4d7,
+    0xba67_4f84_509d_0e44,
+    0xbad1_1119_895b_f817,
+    0xaa0d_7a36_5b2a_fc1c,
+    0x1bc1_1075_7b18_3732,
+    0x1536_065b_c0fe_e564,
+    0xa418_45d9_db5c_e29e,
+    0x088e_1363_29fa_c9bb,
+];
+
+#[test]
+fn smt_digests_are_pinned() {
+    let mut got = Vec::new();
+    for (name, cfg) in shared_matrix() {
+        for mix in SMT_MIXES {
+            got.push((name, fnv1a(smt(&cfg, mix).as_bytes())));
+        }
+    }
+    let digests: Vec<u64> = got.iter().map(|&(_, d)| d).collect();
+    assert_eq!(digests, SMT_PINNED, "SmtStats digests moved: {got:#x?}");
+}
+
+#[test]
+fn shared_multicore_digests_are_pinned() {
+    let mut got = Vec::new();
+    for (name, cfg) in shared_matrix() {
+        for mix in MULTICORE_MIXES {
+            got.push((name, fnv1a(shared_multicore(&cfg, mix).as_bytes())));
+        }
+    }
+    let digests: Vec<u64> = got.iter().map(|&(_, d)| d).collect();
+    assert_eq!(
+        digests, MULTICORE_PINNED,
+        "multicore CoreStats digests moved: {got:#x?}"
+    );
+}
+
+/// One core of the shared multicore is the single-core machine, DpPred
+/// included: the LLC runs CbPred on the core's dead-page table in both.
+#[test]
+fn one_core_multicore_with_dppred_matches_machine_run() {
+    let mut cfg = SimConfig::baseline();
+    cfg.dppred = true;
+    let (warmup, measure) = (10_000, 300_000);
+    let mut wls = vec![BenchmarkId::Mcf.build(Scale::Small, 42)];
+    let shared =
+        run_multicore(&cfg, &mut wls, warmup, measure, &CancelToken::new()).expect("shared run");
+    let mut wl = BenchmarkId::Mcf.build(Scale::Small, 42);
+    let mut m = Machine::new(&cfg).expect("valid config");
+    let alone = m.run(wl.as_mut(), warmup, measure).expect("alone run");
+    assert_eq!(format!("{shared:?}"), format!("{:?}", [alone.core]));
 }
 
 #[test]
@@ -453,7 +539,15 @@ fn smt_and_shared_multicore_honour_ignore_deps() {
     let smt_cycles = |cfg: &SimConfig| {
         let mut wls = build_mix(&mix);
         let (a, b) = wls.split_at_mut(1);
-        let stats = run_smt(cfg, a[0].as_mut(), b[0].as_mut(), 2_000, 20_000).expect("smt run");
+        let stats = run_smt(
+            cfg,
+            a[0].as_mut(),
+            b[0].as_mut(),
+            2_000,
+            20_000,
+            &CancelToken::new(),
+        )
+        .expect("smt run");
         stats.threads.iter().map(|t| t.cycles).sum::<u64>()
     };
     let (with, without) = (smt_cycles(&deps), smt_cycles(&nodeps));
@@ -463,11 +557,17 @@ fn smt_and_shared_multicore_honour_ignore_deps() {
     );
 
     let multicore_cycles = |cfg: &SimConfig| {
-        run_multicore(cfg, &mut build_mix(&mix), 2_000, 20_000)
-            .expect("shared run")
-            .iter()
-            .map(|c| c.cycles)
-            .sum::<u64>()
+        run_multicore(
+            cfg,
+            &mut build_mix(&mix),
+            2_000,
+            20_000,
+            &CancelToken::new(),
+        )
+        .expect("shared run")
+        .iter()
+        .map(|c| c.cycles)
+        .sum::<u64>()
     };
     let (with, without) = (multicore_cycles(&deps), multicore_cycles(&nodeps));
     assert!(

@@ -4,7 +4,8 @@
 //!   into a `Trace` and collected into a `Vec<Instr>` from a second
 //!   generator: `get(i)` for every record, `next_instr`, and
 //!   `next_batch` at batch sizes {1, 7, 64, 4096}, each across at least
-//!   three wraps.
+//!   three wraps. The generators' own `next_batch` overrides must yield
+//!   their `next_instr` stream at the same batch sizes.
 //! * **Edge streams** — all non-memory, all memory, one record, and
 //!   70 000 distinct IPs (more than a 16-bit head could index).
 //! * **File format** — FNV-1a digests of the `to_writer` bytes of two
@@ -85,6 +86,38 @@ fn every_benchmark_matches_the_reference() {
         let reference: Vec<Instr> = (0..LEN).map(|_| wl.next_instr()).collect();
         check(&t, &reference, bench.name());
         assert_eq!(traced(&reference), t, "{}: push vs capture", bench.name());
+        check_generator(bench);
+    }
+}
+
+/// `bench`'s generator decoded through `next_batch` at every batch size
+/// must match the same generator driven by `next_instr`, and scalar
+/// decode must pick up exactly where the batches stopped.
+fn check_generator(bench: BenchmarkId) {
+    const LEN: usize = 2 * 4096 + 1;
+    let mut wl = bench.build(Scale::Test, 42);
+    let reference: Vec<Instr> = (0..LEN).map(|_| wl.next_instr()).collect();
+    for batch in BATCHES {
+        let mut wl = bench.build(Scale::Test, 42);
+        let mut buf = Vec::new();
+        let mut seen = 0;
+        while seen + batch < LEN {
+            wl.next_batch(&mut buf, batch);
+            assert_eq!(buf.len(), batch, "{}: batch {batch}", bench.name());
+            assert_eq!(
+                buf[..],
+                reference[seen..seen + batch],
+                "{}: generator batch {batch} at #{seen}",
+                bench.name()
+            );
+            seen += batch;
+        }
+        assert_eq!(
+            wl.next_instr(),
+            reference[seen],
+            "{}: generator batch {batch} then scalar",
+            bench.name()
+        );
     }
 }
 
