@@ -98,13 +98,16 @@ echo "==> streaming smoke (--progress, telemetry.jsonl, trace.json)"
 # least 4 epochs whose delta sums must reconcile with the final
 # cumulative snapshot (check_bench_json --stream), and a lifecycle
 # trace-event timeline. Streaming must not perturb stdout: the tables
-# stay byte-identical to the detached run above.
+# stay byte-identical to the detached run above. The last live line must
+# report every job done, none inflight and none retried.
 rm -f target/ci-stream.jsonl target/ci-telemetry.jsonl target/ci-trace.json
 $SUITE $SUITE_FLAGS --jobs 4 --manifest target/ci-stream.jsonl --check \
     --progress=50ms --telemetry-out target/ci-telemetry.jsonl \
-    --stream-epochs 4 --trace-out target/ci-trace.json \
-    > target/ci-stream.out 2> /dev/null
+    --trace-out target/ci-trace.json \
+    > target/ci-stream.out 2> target/ci-stream.err
 diff target/ci-suite.out target/ci-stream.out
+grep '^progress: ' target/ci-stream.err | tail -n 1 \
+    | grep -Eq '^progress: ([0-9]+)/\1 done, 0 inflight, 0 retried'
 cargo run --offline --release -p atc-bench --bin check_bench_json -- \
     --stream --min-epochs 4 target/ci-telemetry.jsonl
 test -s target/ci-trace.json

@@ -4,21 +4,20 @@
 //! plain baseline). This is the bench behind `BENCH_sim.json` (see
 //! `ci.sh` and DESIGN.md).
 //!
-//! `machine/baseline+streaming` re-measures the plain baseline while a
-//! sampler thread (the shape `atc_harness::Sampler` uses) drains a
+//! `machine/baseline+streaming` re-measures the plain baseline while
+//! the suite's sampler thread (`atc_bench::stream::Sampler`) drains a
 //! shared counter into a checksummed `atc-telemetry-stream-v1` file at
 //! a 10 ms cadence. The delta against `machine/baseline` is the
 //! attached-streaming overhead; `check_bench_json` gates it.
 
-use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use atc_bench::stream::{check_stream, epoch_line, final_line, header_line};
+use atc_bench::stream::{check_stream, Sampler, StreamOptions};
 use atc_bench::Reporter;
 use atc_core::Enhancement;
-use atc_obs::{Registry, SnapshotStream};
+use atc_obs::Registry;
 use atc_sim::{Machine, SimConfig, TelemetryConfig};
 use atc_workloads::{BenchmarkId, Scale};
 
@@ -30,32 +29,6 @@ fn bench_registry(instrs: u64) -> Registry {
     let id = r.counter("bench.instrs");
     r.set(id, instrs);
     r
-}
-
-/// Sample `instrs` every 10 ms into an `atc-telemetry-stream-v1` file
-/// until `stop`; close with the reconciling final line. Returns epochs.
-fn stream_sampler(
-    path: std::path::PathBuf,
-    instrs: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-) -> std::io::Result<u64> {
-    let mut f = std::fs::File::create(&path)?;
-    writeln!(f, "{}", header_line(10_000))?;
-    let mut stream = SnapshotStream::new();
-    let t0 = Instant::now();
-    let t_us = |t0: &Instant| u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(Duration::from_millis(10));
-        let d = stream.next_delta(&bench_registry(instrs.load(Ordering::Relaxed)));
-        writeln!(f, "{}", epoch_line(d.epoch, t_us(&t0), &d.counters))?;
-    }
-    let snap = bench_registry(instrs.load(Ordering::Relaxed));
-    let d = stream.next_delta(&snap);
-    writeln!(f, "{}", epoch_line(d.epoch, t_us(&t0), &d.counters))?;
-    let counters: Vec<(&str, u64)> = snap.counters().iter().map(|&(n, v)| (n, v)).collect();
-    writeln!(f, "{}", final_line(stream.epochs(), t_us(&t0), &counters))?;
-    f.flush()?;
-    Ok(stream.epochs())
 }
 
 fn main() {
@@ -97,11 +70,15 @@ fn main() {
     // sampler thread writes delta epochs — the workers only touch one
     // relaxed atomic per iteration, so the delta should be noise.
     let instrs = Arc::new(AtomicU64::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
     let path = std::env::temp_dir().join(format!("atc-bench-stream-{}.jsonl", std::process::id()));
     let sampler = {
-        let (path, instrs, stop) = (path.clone(), Arc::clone(&instrs), Arc::clone(&stop));
-        std::thread::spawn(move || stream_sampler(path, instrs, stop))
+        let instrs = Arc::clone(&instrs);
+        let opts = StreamOptions {
+            cadence: Duration::from_millis(10),
+            telemetry_path: Some(path.clone()),
+        };
+        Sampler::start(move || bench_registry(instrs.load(Ordering::Relaxed)), opts)
+            .expect("sampler starts")
     };
     reporter.bench_throughput("machine/baseline+streaming", 10, N, || {
         let mut cfg = SimConfig::with_enhancement(Enhancement::Baseline);
@@ -112,11 +89,7 @@ fn main() {
         instrs.fetch_add(N, Ordering::Relaxed);
         out
     });
-    stop.store(true, Ordering::Relaxed);
-    let epochs = sampler
-        .join()
-        .expect("sampler thread")
-        .expect("stream writes");
+    let epochs = sampler.stop().expect("stream writes");
     let text = std::fs::read_to_string(&path).expect("stream readable");
     let report = check_stream(&text, 1).expect("stream reconciles");
     println!("streaming sampler: {epochs} epoch(s), {report}");

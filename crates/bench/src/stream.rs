@@ -1,5 +1,6 @@
-//! The `atc-telemetry-stream-v1` JSONL schema: checksummed,
-//! delta-encoded counter time series.
+//! The `atc-telemetry-stream-v1` telemetry stream: checksummed,
+//! delta-encoded counter time series, the sampler thread that writes
+//! them and the checker that validates them.
 //!
 //! A stream file is one JSON object per line, each line sealed with a
 //! whole-line FNV-1a checksum exactly like the v2 job manifest:
@@ -13,20 +14,45 @@
 //!
 //! * the **header** pins the schema and the sampler cadence;
 //! * each **epoch** line carries only the counters that moved since the
-//!   previous epoch (signed deltas — gauges decrease);
+//!   previous epoch (signed deltas from [`Registry::delta_since`] —
+//!   gauges decrease);
 //! * the single **final** line carries the cumulative snapshot.
 //!
+//! The [`Sampler`] is the one writer. Every tick it calls a
+//! caller-supplied snapshot closure (for a sweep, relaxed atomic loads of
+//! the harness progress counters, so workers never contend with it) and
+//! appends one epoch line. On [`stop`](Sampler::stop) it takes one last
+//! snapshot, writes its epoch, pads zero-delta epochs up to 4, and
+//! closes the file with the final line from the *same* snapshot, so the
+//! per-counter delta sums reconcile exactly whatever instant the stop
+//! landed on.
+//!
 //! [`check_stream`] validates structure *and* arithmetic: every line's
-//! checksum, contiguous epoch numbering, non-decreasing timestamps, and
+//! checksum, the header version, contiguous epoch numbering,
+//! non-negative non-decreasing timestamps, and
 //! the telescoping invariant — per-counter delta sums must reproduce the
 //! final cumulative snapshot exactly. `check_bench_json --stream` gates
 //! CI on it.
+
+use std::fs::File;
+use std::io::{self, Write};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use atc_obs::Registry;
 
 use crate::fnv1a;
 use crate::json::{self, Value};
 
 /// Schema identifier in the stream header line.
 pub const STREAM_SCHEMA: &str = "atc-telemetry-stream-v1";
+
+/// Epochs every stream is padded to at stop, so even a run shorter than
+/// one cadence passes `check_bench_json --stream --min-epochs 4`.
+const MIN_EPOCHS: u64 = 4;
 
 /// Render `doc` (must be an object) as one sealed line: the object with
 /// a trailing `"ck"` member holding the FNV-1a hash of everything
@@ -55,43 +81,145 @@ pub fn unseal(line: &str) -> Result<Value, String> {
     json::parse(&format!("{trunk}}}")).map_err(|e| format!("invalid JSON: {e}"))
 }
 
-/// The sealed header line for a stream sampled every `cadence_us`
-/// microseconds.
-pub fn header_line(cadence_us: u64) -> String {
-    seal(&Value::Object(vec![
-        ("schema".into(), Value::String(STREAM_SCHEMA.into())),
-        ("v".into(), Value::Number(1.0)),
-        ("cadence_us".into(), Value::Number(cadence_us as f64)),
-    ]))
+/// How often the [`Sampler`] samples and where its stream lands.
+#[derive(Debug)]
+pub struct StreamOptions {
+    /// Sampling period (floored at 1 ms).
+    pub cadence: Duration,
+    /// Write the `atc-telemetry-stream-v1` JSONL here (truncating).
+    /// Without a path the sampler still calls the snapshot closure every
+    /// tick, which is how a live progress line runs on its own.
+    pub telemetry_path: Option<PathBuf>,
 }
 
-/// The sealed line for one epoch of sparse counter deltas at `t_us`
-/// microseconds since the sampler started.
-pub fn epoch_line(epoch: u64, t_us: u64, counters: &[(&str, i64)]) -> String {
-    let members = counters
-        .iter()
-        .map(|&(n, d)| (n.to_string(), Value::Number(d as f64)))
-        .collect();
-    seal(&Value::Object(vec![
-        ("epoch".into(), Value::Number(epoch as f64)),
-        ("t_us".into(), Value::Number(t_us as f64)),
-        ("counters".into(), Value::Object(members)),
-    ]))
+/// Handle to the running sampler thread.
+#[derive(Debug)]
+pub struct Sampler {
+    stop: Arc<AtomicBool>,
+    handle: JoinHandle<io::Result<u64>>,
 }
 
-/// The sealed final line: cumulative counter values after `epochs`
-/// epochs.
-pub fn final_line(epochs: u64, t_us: u64, counters: &[(&str, u64)]) -> String {
-    let members = counters
-        .iter()
-        .map(|&(n, v)| (n.to_string(), Value::Number(v as f64)))
-        .collect();
-    seal(&Value::Object(vec![
-        ("final".into(), Value::Bool(true)),
-        ("epochs".into(), Value::Number(epochs as f64)),
-        ("t_us".into(), Value::Number(t_us as f64)),
-        ("counters".into(), Value::Object(members)),
-    ]))
+impl Sampler {
+    /// Write the header and start a thread that calls `snapshot` once per
+    /// `opts.cadence` and once more at [`stop`](Self::stop).
+    ///
+    /// # Errors
+    ///
+    /// Creating the telemetry file, writing its header, or spawning the
+    /// thread.
+    pub fn start<F>(snapshot: F, opts: StreamOptions) -> io::Result<Sampler>
+    where
+        F: Fn() -> Registry + Send + 'static,
+    {
+        let cadence = opts.cadence.max(Duration::from_millis(1));
+        let mut writer = Writer {
+            file: opts.telemetry_path.map(File::create).transpose()?,
+            start: Instant::now(),
+            prev: Registry::new(),
+            epochs: 0,
+        };
+        writer.line(vec![
+            ("schema", Value::String(STREAM_SCHEMA.into())),
+            ("v", Value::Number(1.0)),
+            ("cadence_us", Value::Number(cadence.as_micros() as f64)),
+        ])?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let handle = std::thread::Builder::new()
+            .name("atc-sampler".into())
+            .spawn(move || writer.run(&snapshot, cadence, &flag))?;
+        Ok(Sampler { stop, handle })
+    }
+
+    /// Signal the thread, join it, and return the number of epochs
+    /// written (padding included).
+    ///
+    /// # Errors
+    ///
+    /// Any write error the sampler hit, or a generic error if the
+    /// thread panicked.
+    pub fn stop(self) -> io::Result<u64> {
+        self.stop.store(true, Ordering::SeqCst);
+        self.handle
+            .join()
+            .map_err(|_| io::Error::other("sampler thread panicked"))?
+    }
+}
+
+/// The stream's one writer: the file, the snapshot the next epoch is
+/// diffed against, and the epoch counter.
+struct Writer {
+    file: Option<File>,
+    start: Instant,
+    prev: Registry,
+    epochs: u64,
+}
+
+impl Writer {
+    fn run(
+        &mut self,
+        snapshot: &dyn Fn() -> Registry,
+        cadence: Duration,
+        stop: &AtomicBool,
+    ) -> io::Result<u64> {
+        loop {
+            // Sleep in short slices so stop() never waits a full cadence.
+            let tick_end = Instant::now() + cadence;
+            while Instant::now() < tick_end && !stop.load(Ordering::SeqCst) {
+                std::thread::sleep(cadence.min(Duration::from_millis(5)));
+            }
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            self.epoch(&snapshot())?;
+        }
+        let last = snapshot();
+        self.epoch(&last)?;
+        while self.epochs < MIN_EPOCHS {
+            self.epoch(&last)?;
+        }
+        let counters = last
+            .counters()
+            .iter()
+            .map(|&(n, v)| (n.to_string(), Value::Number(v as f64)))
+            .collect();
+        self.line(vec![
+            ("final", Value::Bool(true)),
+            ("epochs", Value::Number(self.epochs as f64)),
+            ("t_us", self.t_us()),
+            ("counters", Value::Object(counters)),
+        ])?;
+        Ok(self.epochs)
+    }
+
+    /// Append the epoch line for `snap`: the counters that moved since
+    /// the previous epoch's snapshot.
+    fn epoch(&mut self, snap: &Registry) -> io::Result<()> {
+        let counters = snap
+            .delta_since(&self.prev)
+            .into_iter()
+            .map(|(n, d)| (n.to_string(), Value::Number(d as f64)))
+            .collect();
+        self.prev.clone_from(snap);
+        self.epochs += 1;
+        self.line(vec![
+            ("epoch", Value::Number((self.epochs - 1) as f64)),
+            ("t_us", self.t_us()),
+            ("counters", Value::Object(counters)),
+        ])
+    }
+
+    fn t_us(&self) -> Value {
+        Value::Number(self.start.elapsed().as_micros() as f64)
+    }
+
+    fn line(&mut self, members: Vec<(&str, Value)>) -> io::Result<()> {
+        let Some(f) = &mut self.file else {
+            return Ok(());
+        };
+        let doc = Value::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect());
+        writeln!(f, "{}", seal(&doc))
+    }
 }
 
 fn integer(v: &Value, what: &str) -> Result<i64, String> {
@@ -104,8 +232,9 @@ fn integer(v: &Value, what: &str) -> Result<i64, String> {
 
 /// Validate a whole `atc-telemetry-stream-v1` file.
 ///
-/// Checks every line's checksum, the header schema, contiguous epoch
-/// numbering from 0, non-decreasing timestamps, that at least
+/// Checks every line's checksum, the header schema and version (1),
+/// contiguous epoch numbering from 0, non-negative, non-decreasing
+/// timestamps, that at least
 /// `min_epochs` epochs were recorded, that exactly one final line
 /// closes the file, and — the point of the format — that per-counter
 /// delta sums reproduce the final cumulative snapshot exactly.
@@ -123,7 +252,10 @@ pub fn check_stream(text: &str, min_epochs: u64) -> Result<String, String> {
         Some(s) if s == STREAM_SCHEMA => {}
         other => return Err(format!("header schema {other:?}, want {STREAM_SCHEMA:?}")),
     }
-    integer(header.get("v").unwrap_or(&Value::Null), "header v")?;
+    let v = integer(header.get("v").unwrap_or(&Value::Null), "header v")?;
+    if v != 1 {
+        return Err(format!("header v = {v}, want 1"));
+    }
     let cadence = integer(
         header.get("cadence_us").unwrap_or(&Value::Null),
         "header cadence_us",
@@ -134,7 +266,7 @@ pub fn check_stream(text: &str, min_epochs: u64) -> Result<String, String> {
 
     let mut sums: Vec<(String, i64)> = Vec::new();
     let mut epochs: u64 = 0;
-    let mut last_t: i64 = -1;
+    let mut last_t: i64 = 0;
     let mut fin: Option<Value> = None;
     for (i, line) in lines {
         let n = i + 1;
@@ -148,6 +280,9 @@ pub fn check_stream(text: &str, min_epochs: u64) -> Result<String, String> {
         };
         let t = integer(doc.get("t_us").unwrap_or(&Value::Null), "t_us")
             .map_err(|e| format!("line {n}: {e}"))?;
+        if t < 0 {
+            return Err(format!("line {n}: t_us {t} is negative"));
+        }
         if t < last_t {
             return Err(format!("line {n}: t_us {t} went backwards (last {last_t})"));
         }
@@ -217,29 +352,21 @@ pub fn check_stream(text: &str, min_epochs: u64) -> Result<String, String> {
 mod tests {
     use super::*;
 
+    /// Seal one line given as JSON text.
+    fn sealed(doc: &str) -> String {
+        seal(&json::parse(doc).expect("test line is JSON"))
+    }
+
     fn sample_stream() -> String {
-        let mut out = String::new();
-        out.push_str(&header_line(50_000));
-        out.push('\n');
-        out.push_str(&epoch_line(
-            0,
-            50_100,
-            &[("jobs.done", 3), ("jobs.running", 2)],
-        ));
-        out.push('\n');
-        out.push_str(&epoch_line(
-            1,
-            100_200,
-            &[("jobs.done", 4), ("jobs.running", -2)],
-        ));
-        out.push('\n');
-        out.push_str(&final_line(
-            2,
-            100_205,
-            &[("jobs.done", 7), ("jobs.running", 0)],
-        ));
-        out.push('\n');
-        out
+        [
+            r#"{"schema":"atc-telemetry-stream-v1","v":1,"cadence_us":50000}"#,
+            r#"{"epoch":0,"t_us":50100,"counters":{"jobs.done":3,"jobs.running":2}}"#,
+            r#"{"epoch":1,"t_us":100200,"counters":{"jobs.done":4,"jobs.running":-2}}"#,
+            r#"{"final":true,"epochs":2,"t_us":100205,"counters":{"jobs.done":7,"jobs.running":0}}"#,
+        ]
+        .iter()
+        .map(|l| sealed(l) + "\n")
+        .collect()
     }
 
     #[test]
@@ -250,31 +377,46 @@ mod tests {
 
     #[test]
     fn seal_round_trips_and_detects_flips() {
-        let line = header_line(1000);
+        let line = sealed(r#"{"cadence_us":1000}"#);
         assert!(unseal(&line).is_ok());
         let flipped = line.replace("1000", "1001");
         assert!(unseal(&flipped).unwrap_err().contains("checksum"));
     }
 
+    /// `good` with one substring replaced in line `at` and the line
+    /// re-sealed, so only the checker's arithmetic can object.
+    fn tampered(good: &str, at: usize, from: &str, to: &str) -> String {
+        let mut lines: Vec<String> = good.lines().map(str::to_string).collect();
+        let trunk = &lines[at][..lines[at].rfind(",\"ck\":\"").expect("sealed line")];
+        assert!(trunk.contains(from), "{from} not in line {at}");
+        lines[at] = sealed(&format!("{}}}", trunk.replace(from, to)));
+        lines.join("\n") + "\n"
+    }
+
     #[test]
     fn broken_streams_are_rejected() {
         let good = sample_stream();
-        // Delta sum mismatch.
-        let bad = good.replace("\"jobs.done\":7", "\"jobs.done\":8");
-        // Re-seal the tampered final line so only arithmetic fails.
-        let mut lines: Vec<&str> = bad.lines().collect();
-        let resealed = seal(&unseal_tamper(lines[3]));
-        lines[3] = &resealed;
-        let err = check_stream(&(lines.join("\n") + "\n"), 1).unwrap_err();
-        assert!(err.contains("delta sum"), "{err}");
-
-        // Epoch gap.
-        let gap = good.replace("\"epoch\":1", "\"epoch\":2");
-        let mut lines: Vec<&str> = gap.lines().collect();
-        let resealed = seal(&unseal_tamper(lines[2]));
-        lines[2] = &resealed;
-        let err = check_stream(&(lines.join("\n") + "\n"), 1).unwrap_err();
-        assert!(err.contains("contiguous"), "{err}");
+        let cases = [
+            (
+                tampered(&good, 3, "\"jobs.done\":7", "\"jobs.done\":8"),
+                "delta sum",
+            ),
+            (
+                tampered(&good, 2, "\"epoch\":1", "\"epoch\":2"),
+                "contiguous",
+            ),
+            // A future version must not validate as v1.
+            (tampered(&good, 0, "\"v\":1", "\"v\":2"), "header v = 2"),
+            // The first line's timestamp must not be negative either.
+            (
+                tampered(&good, 1, "\"t_us\":50100", "\"t_us\":-1"),
+                "negative",
+            ),
+        ];
+        for (text, want) in cases {
+            let err = check_stream(&text, 1).unwrap_err();
+            assert!(err.contains(want), "want {want:?}: {err}");
+        }
 
         // Too few epochs.
         let err = check_stream(&good, 5).unwrap_err();
@@ -284,12 +426,5 @@ mod tests {
         let trunc: Vec<&str> = good.lines().take(3).collect();
         let err = check_stream(&(trunc.join("\n") + "\n"), 1).unwrap_err();
         assert!(err.contains("no final line"), "{err}");
-    }
-
-    /// Parse a sealed line ignoring its (now stale) checksum — test
-    /// helper for building deliberately tampered-but-resealed lines.
-    fn unseal_tamper(line: &str) -> Value {
-        let at = line.rfind(",\"ck\":\"").expect("sealed line");
-        json::parse(&format!("{}}}", &line[..at])).expect("object")
     }
 }

@@ -16,7 +16,7 @@
 //!       [--fault-plan SEED:SPEC] [--deadline-ms N] [--backoff-ms N]
 //!       [--flush-every N] [--fsync] [--retry-failed]
 //!       [--progress[=INTERVAL]] [--telemetry-out PATH]
-//!       [--stream-epochs N] [--trace-out PATH]
+//!       [--trace-out PATH]
 //! ```
 //!
 //! * `--manifest PATH`   checkpoint file (default `suite-manifest.jsonl`)
@@ -46,9 +46,7 @@
 //!   the sweep catalog, and stream-cache residency
 //! * `--telemetry-out PATH` stream delta-encoded progress snapshots to
 //!   a checksummed `atc-telemetry-stream-v1` JSONL file (validated by
-//!   `check_bench_json --stream`)
-//! * `--stream-epochs N` pad the stream to at least N epochs at stop
-//!   (default 4, the CI smoke's expectation)
+//!   `check_bench_json --stream`; padded to at least 4 epochs at stop)
 //! * `--trace-out PATH`  export the job lifecycle timeline (claim /
 //!   start / retry / timeout / cancel / finish / fault / flush, one
 //!   track per worker) as Chrome/Perfetto trace-event JSON
@@ -64,13 +62,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use atc_bench::json::Value;
+use atc_bench::stream::{Sampler, StreamOptions};
 use atc_bench::trace_event::TraceEvents;
 use atc_experiments::claims::{claims, evaluate, Verdict};
 use atc_experiments::sweeps::{build_jobs, catalog, render_sweep, sweeps, Budget, SweepDef};
 use atc_experiments::{Checks, Opts};
 use atc_harness::{
-    run_with_manifest_opts, EventLog, FaultPlan, JobEvent, JobEventKind, Manifest, Metrics,
-    Progress, Sampler, Scheduler, StreamOptions, SweepOptions, MANIFEST_WORKER,
+    live_line, run_with_manifest_opts, EventLog, FaultPlan, JobEvent, JobEventKind, Manifest,
+    Metrics, Progress, Scheduler, SweepOptions, MANIFEST_WORKER,
 };
 use atc_workloads::trace::TraceCache;
 
@@ -90,7 +89,6 @@ struct SuiteArgs {
     retry_failed: bool,
     progress: Option<Duration>,
     telemetry_out: Option<String>,
-    stream_epochs: u64,
     trace_out: Option<String>,
 }
 
@@ -111,7 +109,6 @@ impl Default for SuiteArgs {
             retry_failed: false,
             progress: None,
             telemetry_out: None,
-            stream_epochs: 4,
             trace_out: None,
         }
     }
@@ -180,9 +177,6 @@ fn split_args(args: impl Iterator<Item = String>) -> Result<(SuiteArgs, Vec<Stri
                 suite.progress = Some(parse_interval(&s["--progress=".len()..])?)
             }
             "--telemetry-out" => suite.telemetry_out = Some(value("--telemetry-out")?),
-            "--stream-epochs" => {
-                suite.stream_epochs = numeric("--stream-epochs", value("--stream-epochs")?)?
-            }
             "--trace-out" => suite.trace_out = Some(value("--trace-out")?),
             _ => rest.push(a),
         }
@@ -318,7 +312,7 @@ fn main() -> ExitCode {
                  [--max-jobs N] [--assert-executed N] [--fault-plan SEED:SPEC] \
                  [--deadline-ms N] [--backoff-ms N] [--flush-every N] [--fsync] \
                  [--retry-failed] [--progress[=INTERVAL]] [--telemetry-out PATH] \
-                 [--stream-epochs N] [--trace-out PATH]"
+                 [--trace-out PATH]"
             );
             return ExitCode::from(2);
         }
@@ -418,16 +412,24 @@ fn main() -> ExitCode {
     // lazily inside the workers, once per distinct stream.
     let traces = Arc::new(TraceCache::new());
     let sampler = if suite.progress.is_some() || suite.telemetry_out.is_some() {
-        let cache = Arc::clone(&traces);
+        // Each sampler tick snapshots the progress counters and, with
+        // --progress, prints the live line.
+        let live = suite.progress.is_some();
+        let total_jobs = jobs.len() as u64;
+        let (progress, cache) = (Arc::clone(&progress), Arc::clone(&traces));
+        let snapshot = move || {
+            let snap = progress.snapshot();
+            if live {
+                let residency = (cache.streams(), cache.footprint_bytes());
+                eprintln!("{}", live_line(&snap, total_jobs, t0.elapsed(), residency));
+            }
+            snap
+        };
         let opts = StreamOptions {
             cadence: suite.progress.unwrap_or(Duration::from_millis(250)),
             telemetry_path: suite.telemetry_out.as_ref().map(Into::into),
-            min_epochs: suite.stream_epochs,
-            live: suite.progress.is_some(),
-            total_jobs: jobs.len() as u64,
-            cache_stats: Some(Box::new(move || (cache.streams(), cache.footprint_bytes()))),
         };
-        match Sampler::start(Arc::clone(&progress), opts) {
+        match Sampler::start(snapshot, opts) {
             Ok(s) => Some(s),
             Err(e) => {
                 eprintln!("error: cannot start telemetry sampler: {e}");
@@ -467,13 +469,9 @@ fn main() -> ExitCode {
     progress.duplicate_records(recovery.duplicates as u64);
     if let Some(sampler) = sampler {
         match sampler.stop() {
-            Ok(summary) => {
-                if let Some(path) = &summary.path {
-                    eprintln!(
-                        "suite: telemetry stream: {} epoch(s) -> {}",
-                        summary.epochs,
-                        path.display()
-                    );
+            Ok(epochs) => {
+                if let Some(path) = &suite.telemetry_out {
+                    eprintln!("suite: telemetry stream: {epochs} epoch(s) -> {path}");
                 }
             }
             Err(e) => {

@@ -28,13 +28,14 @@
 //! 5. [`FaultPlan`] ([`fault`]) — seeded, deterministic fault injection
 //!    (panics, transient errors, stalls, torn manifest writes) for
 //!    exercising every failure path above from tests and CI smokes.
-//! 6. [`EventLog`] ([`events`]) + [`Sampler`] ([`stream`]) — streaming
-//!    observability: timestamped job lifecycle events (claim / start /
-//!    retry / timeout / cancel / finish / flush) for trace-event
-//!    timelines, and a sampler thread draining delta-encoded
-//!    [`Progress`] snapshots into a checksummed `telemetry.jsonl`
-//!    (`atc-telemetry-stream-v1`) with an optional live stderr
-//!    progress line.
+//! 6. [`EventLog`] ([`events`]) + [`live_line`] ([`progress`]) —
+//!    streaming observability: timestamped job lifecycle events (claim /
+//!    start / retry / timeout / cancel / finish / flush) for trace-event
+//!    timelines, and the live stderr progress line rendered from a
+//!    [`Progress`] snapshot. The `atc_bench::stream::Sampler` thread
+//!    takes those snapshots (through a closure over the `Progress`) and
+//!    writes them, delta-encoded, into a checksummed `telemetry.jsonl`
+//!    (`atc-telemetry-stream-v1`).
 //!
 //! The crate knows nothing about the simulator: jobs carry an opaque
 //! payload and a runner closure, and config deltas are referenced by
@@ -80,7 +81,6 @@ pub mod manifest;
 pub mod progress;
 pub mod scheduler;
 pub mod spec;
-pub mod stream;
 
 pub use events::{EventLog, JobEvent, JobEventKind, MANIFEST_WORKER, WATCHDOG_WORKER};
 pub use fault::FaultPlan;
@@ -88,7 +88,6 @@ pub use manifest::{
     run_with_manifest, run_with_manifest_opts, Manifest, Metrics, Record, Recovery, SweepOptions,
     SweepOutcome,
 };
-pub use progress::Progress;
+pub use progress::{live_line, Progress};
 pub use scheduler::{JobCtx, JobError, JobRun, JobStatus, Scheduler};
 pub use spec::{key_hash, Grid, JobSpec};
-pub use stream::{Sampler, StreamOptions, StreamSummary};

@@ -2,8 +2,8 @@
 //!
 //! The scheduler's workers report through a shared [`Progress`], whose
 //! counters are plain `AtomicU64`s so a sampler thread (see
-//! [`stream`](crate::stream)) can read a consistent-enough snapshot at
-//! any cadence without ever contending with the workers:
+//! `atc_bench::stream`) can read a consistent-enough snapshot at any
+//! cadence without ever contending with the workers:
 //!
 //! | name                    | kind      | meaning                              |
 //! |-------------------------|-----------|--------------------------------------|
@@ -30,6 +30,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use atc_obs::{Log2Histogram, Registry};
 
@@ -150,6 +151,40 @@ impl Progress {
     }
 }
 
+/// The live stderr progress line for `snap`, a [`Progress`] snapshot
+/// taken `elapsed` into a sweep of `total_jobs`: jobs done / inflight /
+/// retried, aggregate instructions per second, an ETA extrapolated from
+/// the completion rate, and the stream cache's residency `(streams,
+/// footprint_bytes)`.
+pub fn live_line(
+    snap: &Registry,
+    total_jobs: u64,
+    elapsed: Duration,
+    (streams, bytes): (usize, usize),
+) -> String {
+    let c = |name: &str| snap.counter_value(name).unwrap_or(0);
+    let terminal = c("harness.jobs_done") + c("harness.jobs_failed") + c("harness.jobs_panicked");
+    let secs = elapsed.as_secs_f64().max(1e-9);
+    let mut line = format!(
+        "progress: {terminal}/{total_jobs} done, {} inflight, {} retried",
+        c("harness.jobs_running"),
+        c("harness.jobs_retried"),
+    );
+    let instrs = c("harness.instrs_done");
+    if instrs > 0 {
+        line.push_str(&format!(", {:.2}M instr/s", instrs as f64 / secs / 1e6));
+    }
+    if terminal > 0 && terminal < total_jobs {
+        let eta = secs / terminal as f64 * (total_jobs - terminal) as f64;
+        line.push_str(&format!(", ETA {eta:.0}s"));
+    }
+    line.push_str(&format!(
+        ", cache {streams} streams / {:.1} MiB",
+        bytes as f64 / (1024.0 * 1024.0)
+    ));
+    line
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,5 +237,24 @@ mod tests {
         p.job_finished("ok", 1);
         let snap = p.snapshot();
         assert_eq!(snap.counter_value("harness.jobs_running"), Some(0));
+    }
+
+    #[test]
+    fn live_line_renders_rates_and_eta() {
+        let progress = Progress::new();
+        progress.jobs_queued(8);
+        for _ in 0..4 {
+            progress.job_started();
+            progress.add_instructions(500_000);
+            progress.job_finished("ok", 100);
+        }
+        progress.job_started();
+        let snap = progress.snapshot();
+        let line = live_line(&snap, 8, Duration::from_secs(2), (12, 4 * 1024 * 1024));
+        assert_eq!(
+            line,
+            "progress: 4/8 done, 1 inflight, 0 retried, 1.00M instr/s, ETA 2s, \
+             cache 12 streams / 4.0 MiB"
+        );
     }
 }

@@ -30,13 +30,11 @@
 
 pub mod hist;
 pub mod span;
-pub mod stream;
 
 pub use hist::{Log2Histogram, LOG2_BUCKETS};
 pub use span::{
     NullSink, ReplayOutcome, ReplaySpan, Sink, SpanTracer, WalkHop, WalkSpan, MAX_WALK_HOPS,
 };
-pub use stream::{EpochDelta, SnapshotStream};
 
 /// Handle to a named counter in a [`Registry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,7 +171,8 @@ impl Registry {
     /// The deltas telescope: for any sequence of snapshots
     /// `e0, e1, .., en`, summing `e1.delta_since(&e0)` through
     /// `en.delta_since(&e_{n-1})` per counter reproduces `en` exactly.
-    /// [`SnapshotStream`] packages that invariant for samplers.
+    /// The telemetry stream (`atc_bench::stream`) writes one such delta
+    /// per epoch line, and its checker gates on that invariant.
     pub fn delta_since(&self, epoch: &Registry) -> Vec<(&'static str, i64)> {
         let mut out = Vec::new();
         for &(name, now) in &self.counters {

@@ -12,7 +12,7 @@
 //!
 //! Exits nonzero if any telemetry counter disagrees with `RunStats`,
 //! or if the streaming delta epochs (prefix runs of the same workload
-//! fed through `SnapshotStream`) fail to sum back to the final
+//! diffed with `Registry::delta_since`) fail to sum back to the final
 //! cumulative snapshot: both sides are accumulated independently, so
 //! agreement is a real end-to-end check, not a tautology.
 
@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use atc_bench::telemetry::telemetry_to_json;
-use atc_obs::{Registry, SnapshotStream, TelemetrySnapshot};
+use atc_obs::{Registry, TelemetrySnapshot};
 use atc_sim::{run_one, SimConfig, TelemetryConfig};
 use atc_stats::table::Table;
 use atc_workloads::{BenchmarkId, Scale};
@@ -237,7 +237,8 @@ fn main() -> ExitCode {
     // --- Streaming deltas: replay the run as four cumulative epochs ---
     // Prefix runs (¼, ½, ¾ of the budget, same seed) give real
     // intermediate snapshots; the full run above is the last epoch.
-    // Fed through `SnapshotStream`, the per-counter delta sums must
+    // With each epoch diffed against the one before it
+    // (`Registry::delta_since`), the per-counter delta sums must
     // telescope back to the final cumulative snapshot exactly, or the
     // delta encoder lost or invented events.
     let registry_of = |snap: &TelemetrySnapshot| {
@@ -248,8 +249,16 @@ fn main() -> ExitCode {
         }
         reg
     };
-    let mut stream = SnapshotStream::new();
+    let mut prev = Registry::new();
+    let mut epochs = 0;
     let mut sums: HashMap<&'static str, i64> = HashMap::new();
+    let mut epoch = |snap: Registry| {
+        for (name, d) in snap.delta_since(&prev) {
+            *sums.entry(name).or_default() += d;
+        }
+        prev = snap;
+        epochs += 1;
+    };
     for k in 1..4u64 {
         let prefix = (measure * k / 4).max(1);
         let snap = match run_one(&cfg, bench, scale, 42, warmup, prefix) {
@@ -259,17 +268,10 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        for (name, d) in stream.next_delta(&registry_of(&snap)).counters {
-            *sums.entry(name).or_default() += d;
-        }
+        epoch(registry_of(&snap));
     }
-    for (name, d) in stream.next_delta(&registry_of(t)).counters {
-        *sums.entry(name).or_default() += d;
-    }
-    println!(
-        "telemetry stream: {} epoch(s) over {measure} instructions",
-        stream.epochs()
-    );
+    epoch(registry_of(t));
+    println!("telemetry stream: {epochs} epoch(s) over {measure} instructions");
     let mut stream_errors: Vec<String> = Vec::new();
     for &(name, v) in &t.counters {
         let sum = sums.remove(name).unwrap_or(0);
