@@ -113,28 +113,16 @@ cargo run --offline --release -p atc-bench --bin check_bench_json -- \
 test -s target/ci-trace.json
 
 echo "==> batched-core determinism smoke (--jobs 1 vs --jobs 4 stdout)"
-# Every suite job runs through Machine::run_cancellable or the
-# interleaved SMT/multicore engine; identical stdout at 1 and 4 workers
-# pins scheduler determinism end-to-end (the pinned RunStats, SMT and
-# multicore digests live in tests/oracle_equivalence.rs).
+# Every suite job runs through the one interleaved engine (the
+# single-core Machine is its one-thread case); identical stdout at 1 and
+# 4 workers pins scheduler determinism end-to-end (the pinned RunStats,
+# SMT and multicore digests live in tests/oracle_equivalence.rs).
 rm -f target/ci-det1.jsonl target/ci-det4.jsonl
 $SUITE $SUITE_FLAGS --figures fig14,fig16 --jobs 1 \
     --manifest target/ci-det1.jsonl > target/ci-det1.out
 $SUITE $SUITE_FLAGS --figures fig14,fig16 --jobs 4 \
     --manifest target/ci-det4.jsonl > target/ci-det4.out
 diff target/ci-det1.out target/ci-det4.out
-
-echo "==> lane determinism smoke (lane_mix --jobs 1 vs --jobs 4 stdout)"
-# The partitioned-lane multicore engine runs one Machine per lane on
-# its own thread; lanes are independent and the
-# merge is lane-ordered, so stdout must be byte-identical between the
-# serial twin (--jobs 1) and concurrent lanes (--jobs 4).
-LANE_MIX="cargo run --offline --release -p atc-experiments --bin lane_mix --"
-$LANE_MIX --scale test --warmup 40000 --instructions 200000 --jobs 1 \
-    --check > target/ci-lanes1.out
-$LANE_MIX --scale test --warmup 40000 --instructions 200000 --jobs 4 \
-    --check > target/ci-lanes4.out
-diff target/ci-lanes1.out target/ci-lanes4.out
 
 echo "==> suite resume smoke (kill-free: run half, resume the rest)"
 # fig16 is 18 jobs (base + tempo x 9 benchmarks): run 5, then resume

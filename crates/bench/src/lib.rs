@@ -118,9 +118,21 @@ fn measure<T>(
         name: name.to_string(),
         samples,
         min_ns: times[0].as_nanos() as u64,
-        median_ns: times[times.len() / 2].as_nanos() as u64,
+        median_ns: median(&times).as_nanos() as u64,
         mean_ns: (total / samples).as_nanos() as u64,
         elems,
+    }
+}
+
+/// Median of non-empty sorted `times`: the middle sample, or the mean of
+/// the two middle samples for an even count (so two samples do not
+/// report the slower one).
+fn median(times: &[Duration]) -> Duration {
+    let mid = times.len() / 2;
+    if times.len().is_multiple_of(2) {
+        (times[mid - 1] + times[mid]) / 2
+    } else {
+        times[mid]
     }
 }
 
@@ -323,6 +335,22 @@ pub fn bench_throughput<T>(name: &str, samples: u32, elems: u64, f: impl FnMut()
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_averages_the_middle_pair_of_an_even_count() {
+        let ms = |v: &[u64]| {
+            v.iter()
+                .map(|&m| Duration::from_millis(m))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(median(&ms(&[10, 14])), Duration::from_millis(12));
+        assert_eq!(
+            median(&ms(&[10, 11, 20, 30])),
+            Duration::from_micros(15_500)
+        );
+        assert_eq!(median(&ms(&[7])), Duration::from_millis(7));
+        assert_eq!(median(&ms(&[10, 11, 30])), Duration::from_millis(11));
+    }
 
     #[test]
     fn reporter_parses_flags_and_ignores_cargo_noise() {

@@ -6,9 +6,8 @@
 //!
 //! The `suite` binary regenerates every figure in one checkpointed
 //! process through `atc-harness`; with `--check` it also evaluates the
-//! claims. `table1_config` prints the static machine parameters, and
-//! `lane_mix` is the multicore lane-determinism smoke. They accept the
-//! same flags:
+//! claims, and `table1_config` prints the static machine parameters.
+//! They accept the same flags:
 //!
 //! ```text
 //! --seed N            RNG seed (default 42)

@@ -24,17 +24,19 @@
 //!
 //! # Run entries
 //!
-//! One entry per topology, plus the single-core conveniences:
+//! Six entries, one engine: every topology runs the same interleaved
+//! loop around the one per-instruction step.
 //!
 //! * [`Machine::run`](machine::Machine::run) and
 //!   [`Machine::run_cancellable`](machine::Machine::run_cancellable) —
-//!   one core, decoding [`DEFAULT_BATCH`] records at a time;
+//!   one core, the one-thread case of the engine;
 //! * [`run_one`] and [`run_one_replay`] — build a machine and run a
 //!   generator or a captured trace;
-//! * [`run_smt`], [`run_multicore`] and [`run_multicore_lanes`] — 2-way
-//!   SMT, the shared-LLC multicore and the partitioned-lane multicore.
-//!   The first two share one interleaved engine; each takes a
-//!   [`CancelToken`](atc_types::CancelToken) as its last parameter.
+//! * [`run_smt`] and [`run_multicore`] — 2-way SMT and the shared-LLC
+//!   multicore, each taking a [`CancelToken`](atc_types::CancelToken)
+//!   as its last parameter.
+//!
+//! Each thread decodes [`DEFAULT_BATCH`] records at a time.
 //!
 //! # Example
 //!
@@ -56,7 +58,7 @@ pub mod telemetry;
 
 pub use atc_obs::TelemetrySnapshot;
 pub use machine::{Machine, Probes, RunStats, SimConfig, SimFailure, DEFAULT_BATCH};
-pub use multicore::{run_multicore, run_multicore_lanes};
+pub use multicore::run_multicore;
 pub use smt::run_smt;
 pub use telemetry::TelemetryConfig;
 

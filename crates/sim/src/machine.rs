@@ -1,6 +1,9 @@
 //! The single-core machine and the shared memory-path logic reused by
 //! the SMT and multi-core drivers.
 
+use std::slice;
+
+use crate::multicore::run_interleaved;
 use crate::telemetry::{SimTelemetry, TelemetryConfig};
 use atc_cache::{Cache, Probe};
 use atc_core::{Atp, DpPred, IdealConfig, PolicyChoice, Tempo};
@@ -24,20 +27,21 @@ const PREFETCH_STLB_MISS_DELAY: u64 = 120;
 /// Cap on prefetch candidates issued per demand access.
 const MAX_PREFETCH_PER_ACCESS: usize = 4;
 
-/// Instructions between [`CancelToken`] polls in the cancellable run
-/// loops. Coarse enough to amortize the atomic load to nothing, fine
-/// enough that a deadline overshoots by at most a few microseconds of
-/// simulated work.
+/// Instructions between [`CancelToken`] polls in the run loop
+/// (`multicore::run_interleaved`). Coarse enough to amortize the atomic
+/// load to nothing, fine enough that a deadline overshoots by at most a
+/// few microseconds of simulated work.
 ///
-/// The loops compare against a *next-poll threshold* (`retired >=
-/// next_poll`) rather than a divisibility test, so a counter that
-/// advances in batches cannot step over the poll point; with batching
-/// the poll lands on the first batch boundary at or past the threshold.
+/// The loop counts instructions over both phases and every thread and
+/// compares against a *next-poll threshold* (`retired >= next_poll`)
+/// rather than a divisibility test, so the poll cannot be stepped over
+/// whatever the phase lengths.
 pub const CANCEL_POLL_INSTRS: u64 = 4096;
 
-/// Records [`Machine::run`] decodes per [`Workload::next_batch`] call:
-/// big enough to amortize the per-batch decode dispatch, small enough
-/// that a batch of `Instr` stays in L1.
+/// Records each thread of the run loop decodes per
+/// [`Workload::next_batch`] call (fewer at the end of a phase, so a run
+/// never decodes past its budget): big enough to amortize the per-batch
+/// decode dispatch, small enough that a batch of `Instr` stays in L1.
 pub const DEFAULT_BATCH: usize = 64;
 
 /// Optional measurement probes (recall distances, telemetry).
@@ -849,14 +853,15 @@ impl Machine {
     }
 
     /// [`run`](Self::run) under a cooperative [`CancelToken`]: the run
-    /// loop polls the token at the first batch boundary at or past every
-    /// [`CANCEL_POLL_INSTRS`]-instruction threshold and aborts with
-    /// [`SimError::Cancelled`], salvaging the statistics gathered so far
-    /// exactly like the deadlock watchdog does. Sweep schedulers use
-    /// this to enforce per-job deadlines without killing the worker
-    /// thread.
+    /// loop polls the token at every [`CANCEL_POLL_INSTRS`]-instruction
+    /// threshold and aborts with [`SimError::Cancelled`], salvaging the
+    /// statistics gathered so far exactly like the deadlock watchdog
+    /// does. Sweep schedulers use this to enforce per-job deadlines
+    /// without killing the worker thread.
     ///
-    /// The loop decodes [`DEFAULT_BATCH`] records at a time through
+    /// The machine is the one-core, one-thread case of the interleaved
+    /// engine SMT and the shared multicore run on: it decodes
+    /// [`DEFAULT_BATCH`] records at a time through
     /// [`Workload::next_batch`], then executes them one by one, in
     /// program order. The deadlock watchdog stays per-instruction (a
     /// ROB-full dispatch can jump the clock on any instruction).
@@ -872,70 +877,23 @@ impl Machine {
         measure: u64,
         cancel: &CancelToken,
     ) -> Result<RunStats, SimFailure> {
-        let mut rob = RobModel::new(&self.cfg.machine.core);
-        let mut last_now = rob.now();
-        let mut retired: u64 = 0;
-        let mut next_poll: u64 = 0;
-        let mut buf: Vec<Instr> = Vec::with_capacity(DEFAULT_BATCH);
-        for (phase, budget) in [warmup, measure].into_iter().enumerate() {
-            let mut remaining = budget;
-            while remaining > 0 {
-                // One relaxed load per CANCEL_POLL_INSTRS retired
-                // instructions, checked only at batch boundaries.
-                if retired >= next_poll {
-                    if cancel.is_cancelled() {
-                        let error = SimError::Cancelled {
-                            instructions: retired,
-                        };
-                        return Err(self.failure(rob, error));
-                    }
-                    next_poll = retired + CANCEL_POLL_INSTRS;
-                }
-                let n = remaining.min(DEFAULT_BATCH as u64) as usize;
-                wl.next_batch(&mut buf, n);
-                for &instr in &buf[..n] {
-                    if let Err(error) = self.step(&mut rob, instr, &mut last_now) {
-                        return Err(self.failure(rob, error));
-                    }
-                }
-                retired += n as u64;
-                remaining -= n as u64;
-            }
-            if phase == 0 {
-                self.reset_stats();
-                rob.reset_measurement();
-            }
-        }
-        Ok(self.collect(rob.finish()))
-    }
-
-    /// Execute one instruction through [`exec_instr_opts`], then run the
-    /// deadlock watchdog: the core clock may not jump by more than
-    /// `watchdog_cycles` since the previous instruction (`last_now`).
-    #[inline]
-    fn step(
-        &mut self,
-        rob: &mut RobModel,
-        instr: Instr,
-        last_now: &mut u64,
-    ) -> Result<(), SimError> {
-        exec_instr_opts(
-            &mut self.core,
+        let mut robs = [RobModel::new(&self.cfg.machine.core)];
+        let run = run_interleaved(
+            &self.cfg,
+            slice::from_mut(&mut self.core),
             &mut self.llc,
             &mut self.dram,
-            &self.cfg.ideal,
-            rob,
-            instr,
-            0,
-            self.cfg.ignore_deps,
-        )?;
-        let now = rob.now();
-        if now.saturating_sub(*last_now) > self.cfg.watchdog_cycles.max(1) {
-            let diag = deadlock_diag(rob, &self.core, &self.llc, *last_now);
-            return Err(SimError::Deadlock(Box::new(diag)));
+            &mut robs,
+            &mut [wl],
+            warmup,
+            measure,
+            cancel,
+        );
+        let [rob] = robs;
+        match run {
+            Ok(()) => Ok(self.collect(rob.finish())),
+            Err(error) => Err(self.failure(rob, error)),
         }
-        *last_now = now;
-        Ok(())
     }
 
     /// A failed run, salvaging the statistics gathered so far.
@@ -945,12 +903,6 @@ impl Machine {
             error,
             partial: Some(Box::new(self.collect(rob.finish()))),
         }
-    }
-
-    fn reset_stats(&mut self) {
-        self.core.reset_stats();
-        self.llc.reset_stats();
-        self.dram.reset_stats();
     }
 
     fn collect(&mut self, core_stats: CoreStats) -> RunStats {

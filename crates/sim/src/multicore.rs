@@ -1,15 +1,17 @@
 //! Multi-core multi-programmed mode: N cores with private MMU/L1D/L2C,
 //! sharing one LLC (2 MiB per core) and the DRAM channels — the paper's
-//! 8-core evaluation (§V) — and the interleaved engine it shares with
-//! 2-way SMT.
+//! 8-core evaluation (§V) — and the interleaved engine every topology
+//! runs on: the single-core machine, 2-way SMT and the shared multicore.
 
+use atc_cache::Cache;
 use atc_cpu::{CoreStats, RobModel};
 use atc_dram::Dram;
 use atc_types::{CancelToken, SimError};
-use atc_workloads::Workload;
+use atc_workloads::{Instr, Workload};
 
 use crate::machine::{
-    build_llc, deadlock_diag, exec_instr_opts, CoreCtx, Machine, SimConfig, CANCEL_POLL_INSTRS,
+    build_llc, deadlock_diag, exec_instr_opts, CoreCtx, SimConfig, CANCEL_POLL_INSTRS,
+    DEFAULT_BATCH,
 };
 
 /// Per-thread virtual-address-space offset (bit 47: above every workload
@@ -17,35 +19,60 @@ use crate::machine::{
 /// address spaces.
 const THREAD_VA_STRIDE: u64 = 1 << 47;
 
-/// The interleaved engine behind SMT and the shared multicore: thread
-/// `i` runs `wls[i]` on core `i % cores.len()` with its own ROB, and
-/// every core shares one LLC and DRAM built from `cfg` (already scaled
-/// for the core count; under DpPred the LLC's CbPred reads core 0's
-/// dead-page table). Each step executes one instruction of the
-/// unfinished thread whose ROB clock lags most (lowest index on ties),
-/// which approximates fine-grained sharing without a cycle-accurate
-/// scheduler; a thread that finishes its phase early stops issuing.
-/// `cancel` is polled every [`CANCEL_POLL_INSTRS`] interleaved
-/// instructions. Returns each thread's measured statistics.
+/// One thread's core, its decoded-but-not-executed records and its
+/// progress through the current phase.
+struct Thread {
+    core: usize,
+    batch: Vec<Instr>,
+    next: usize,
+    done: u64,
+}
+
+/// The simulator's one run loop: thread `i` runs `wls[i]` on core
+/// `i % cores.len()` with ROB `robs[i]`, and every core shares `llc` and
+/// `dram` (built by the caller from `cfg`, already scaled for the core
+/// count). The single-core machine is the one-core, one-thread case.
+///
+/// Each step executes one instruction of the unfinished thread whose ROB
+/// clock lags most (lowest index on ties), which approximates
+/// fine-grained sharing without a cycle-accurate scheduler; a thread
+/// that finishes its phase early stops issuing. A thread decodes
+/// [`DEFAULT_BATCH`] records at a time through [`Workload::next_batch`],
+/// never past the end of the phase. After `warmup` instructions per
+/// thread every statistic resets, then `measure` more run.
+///
+/// `cancel` is polled whenever the instruction count, over both phases
+/// and every thread, reaches the next [`CANCEL_POLL_INSTRS`] threshold;
+/// [`SimError::Cancelled`] reports that count. The deadlock watchdog
+/// stays per instruction (a ROB-full dispatch can jump the clock on any
+/// instruction). On an error the ROBs hold the partial state.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_interleaved(
     cfg: &SimConfig,
     cores: &mut [CoreCtx],
+    llc: &mut Cache,
+    dram: &mut Dram,
+    robs: &mut [RobModel],
     wls: &mut [&mut dyn Workload],
     warmup: u64,
     measure: u64,
     cancel: &CancelToken,
-) -> Result<Vec<CoreStats>, SimError> {
+) -> Result<(), SimError> {
     let watchdog = cfg.watchdog_cycles.max(1);
-    let mut llc = build_llc(cfg, cores[0].dppred.as_ref(), cores.len())?;
-    let mut dram = Dram::new(&cfg.machine.dram);
-    let mut robs: Vec<RobModel> = wls
-        .iter()
-        .map(|_| RobModel::new(&cfg.machine.core))
+    let mut threads: Vec<Thread> = (0..wls.len())
+        .map(|i| Thread {
+            core: i % cores.len(),
+            batch: Vec::with_capacity(DEFAULT_BATCH),
+            next: 0,
+            done: 0,
+        })
         .collect();
+    let mut retired: u64 = 0;
+    let mut next_poll: u64 = 0;
     for (phase, budget) in [warmup, measure].into_iter().enumerate() {
-        let mut done = vec![0u64; wls.len()];
-        let mut retired: u64 = 0;
-        let mut next_poll: u64 = 0;
+        for t in threads.iter_mut() {
+            t.done = 0;
+        }
         loop {
             if retired >= next_poll {
                 if cancel.is_cancelled() {
@@ -56,32 +83,40 @@ pub(crate) fn run_interleaved(
                 next_poll = retired + CANCEL_POLL_INSTRS;
             }
             let mut pick: Option<(usize, u64)> = None;
-            for (i, d) in done.iter().enumerate() {
-                if *d < budget {
+            for (i, t) in threads.iter().enumerate() {
+                if t.done < budget {
                     let now = robs[i].now();
-                    if pick.is_none_or(|(_, t)| now < t) {
+                    if pick.is_none_or(|(_, p)| now < p) {
                         pick = Some((i, now));
                     }
                 }
             }
             let Some((i, before)) = pick else { break };
-            let core = &mut cores[i % cores.len()];
+            let t = &mut threads[i];
+            if t.next == t.batch.len() {
+                let n = (budget - t.done).min(DEFAULT_BATCH as u64) as usize;
+                wls[i].next_batch(&mut t.batch, n);
+                t.next = 0;
+            }
+            let instr = t.batch[t.next];
+            t.next += 1;
+            t.done += 1;
+            retired += 1;
+            let core = &mut cores[t.core];
             exec_instr_opts(
                 core,
-                &mut llc,
-                &mut dram,
+                llc,
+                dram,
                 &cfg.ideal,
                 &mut robs[i],
-                wls[i].next_instr(),
+                instr,
                 i as u64 * THREAD_VA_STRIDE,
                 cfg.ignore_deps,
             )?;
             if robs[i].now().saturating_sub(before) > watchdog {
-                let diag = deadlock_diag(&robs[i], core, &llc, before);
+                let diag = deadlock_diag(&robs[i], core, llc, before);
                 return Err(SimError::Deadlock(Box::new(diag)));
             }
-            done[i] += 1;
-            retired += 1;
         }
         if phase == 0 {
             for c in cores.iter_mut() {
@@ -94,6 +129,29 @@ pub(crate) fn run_interleaved(
             }
         }
     }
+    Ok(())
+}
+
+/// [`run_interleaved`] on a fresh shared LLC and DRAM and one ROB per
+/// thread: the SMT and shared-multicore topologies. Returns each
+/// thread's measured statistics.
+pub(crate) fn run_shared(
+    cfg: &SimConfig,
+    cores: &mut [CoreCtx],
+    wls: &mut [&mut dyn Workload],
+    warmup: u64,
+    measure: u64,
+    cancel: &CancelToken,
+) -> Result<Vec<CoreStats>, SimError> {
+    let mut llc = build_llc(cfg, cores[0].dppred.as_ref(), cores.len())?;
+    let mut dram = Dram::new(&cfg.machine.dram);
+    let mut robs: Vec<RobModel> = wls
+        .iter()
+        .map(|_| RobModel::new(&cfg.machine.core))
+        .collect();
+    run_interleaved(
+        cfg, cores, &mut llc, &mut dram, &mut robs, wls, warmup, measure, cancel,
+    )?;
     Ok(robs.into_iter().map(RobModel::finish).collect())
 }
 
@@ -133,104 +191,13 @@ pub fn run_multicore(
         .iter_mut()
         .map(|w| &mut **w as &mut dyn Workload)
         .collect();
-    run_interleaved(&mcfg, &mut cores, &mut wls, warmup, measure, cancel)
-}
-
-/// Partitioned-lane multicore: each core owns its *entire* hierarchy —
-/// private L1D/L2C/TLBs as in [`run_multicore`], plus its own 2 MiB LLC
-/// slice and DRAM channel — so lanes never interact and can be simulated
-/// concurrently, one [`Machine`] per lane on its
-/// own OS thread.
-///
-/// This is the way-partitioned/channel-partitioned operating point of
-/// the shared configuration: the shared mode scales the LLC to 2 MiB ×
-/// cores and gives one channel per four cores; the lane slice hands each
-/// core exactly its capacity share (the channel share rounds up to one
-/// private channel). Contention disappears, which is the point — lanes
-/// become embarrassingly parallel, and the lane-ordered merge makes the
-/// result independent of thread scheduling: any `jobs >= 1` produces
-/// byte-identical statistics (`jobs == 1` runs the serial twin on the
-/// caller's thread; `ci.sh` diffs the two).
-///
-/// Every lane polls `cancel` exactly as
-/// [`Machine::run_cancellable`] does.
-///
-/// # Errors
-///
-/// Returns [`SimError::Config`] when `workloads` is empty, `jobs == 0`,
-/// or the machine configuration is invalid; lane failures (deadlock,
-/// cancellation) surface as the error of the lowest-numbered failing
-/// lane, again independent of scheduling.
-pub fn run_multicore_lanes(
-    cfg: &SimConfig,
-    workloads: &mut [Box<dyn Workload>],
-    warmup: u64,
-    measure: u64,
-    jobs: usize,
-    cancel: &CancelToken,
-) -> Result<Vec<CoreStats>, SimError> {
-    if workloads.is_empty() {
-        return Err(SimError::config(
-            "multicore lanes: need at least one workload",
-        ));
-    }
-    if jobs == 0 {
-        return Err(SimError::config("multicore lanes: jobs must be >= 1"));
-    }
-    cfg.machine.validate()?;
-
-    let run_lane = |wl: &mut Box<dyn Workload>| -> Result<CoreStats, SimError> {
-        let stats = Machine::new(cfg)?
-            .run_cancellable(wl.as_mut(), warmup, measure, cancel)
-            .map_err(|failure| failure.error)?;
-        Ok(stats.core)
-    };
-
-    let n = workloads.len();
-    let mut results: Vec<Option<Result<CoreStats, SimError>>> = (0..n).map(|_| None).collect();
-    if jobs == 1 || n == 1 {
-        // Serial twin: the reference the concurrent path must match
-        // byte-for-byte.
-        for (wl, slot) in workloads.iter_mut().zip(results.iter_mut()) {
-            *slot = Some(run_lane(wl));
-        }
-    } else {
-        // Static lane striping: worker k owns lanes k, k + jobs, …, and
-        // writes only its own lanes' result slots. The merge below reads
-        // a fully lane-indexed vector, so thread scheduling cannot
-        // reorder anything observable.
-        type LaneSlot<'a> = (
-            &'a mut Box<dyn Workload>,
-            &'a mut Option<Result<CoreStats, SimError>>,
-        );
-        let workers = jobs.min(n);
-        let mut per_worker: Vec<Vec<LaneSlot<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, pair) in workloads.iter_mut().zip(results.iter_mut()).enumerate() {
-            per_worker[i % workers].push(pair);
-        }
-        std::thread::scope(|s| {
-            let run_lane = &run_lane;
-            for worker in per_worker {
-                s.spawn(move || {
-                    for (wl, slot) in worker {
-                        *slot = Some(run_lane(wl));
-                    }
-                });
-            }
-        });
-    }
-
-    // Lane-ordered merge: the earliest lane's error wins deterministically.
-    let mut out = Vec::with_capacity(n);
-    for slot in results {
-        out.push(slot.expect("every lane writes its slot")?);
-    }
-    Ok(out)
+    run_shared(&mcfg, &mut cores, &mut wls, warmup, measure, cancel)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Machine;
     use atc_workloads::{BenchmarkId, Scale};
 
     #[test]
@@ -274,92 +241,5 @@ mod tests {
         let mut wls: Vec<Box<dyn Workload>> = Vec::new();
         let err = run_multicore(&cfg, &mut wls, 100, 100, &CancelToken::new()).unwrap_err();
         assert!(matches!(err, SimError::Config(_)), "{err}");
-    }
-
-    fn lane_mix() -> Vec<Box<dyn Workload>> {
-        [
-            BenchmarkId::Mcf,
-            BenchmarkId::Pr,
-            BenchmarkId::Xalancbmk,
-            BenchmarkId::Canneal,
-        ]
-        .iter()
-        .enumerate()
-        .map(|(i, b)| b.build(Scale::Test, i as u64 + 1))
-        .collect()
-    }
-
-    #[test]
-    fn lanes_match_serial_twin_at_every_job_count() {
-        let cfg = SimConfig::baseline();
-        let serial =
-            run_multicore_lanes(&cfg, &mut lane_mix(), 1_000, 5_000, 1, &CancelToken::new())
-                .expect("serial twin");
-        for jobs in [2, 3, 4, 7] {
-            let concurrent = run_multicore_lanes(
-                &cfg,
-                &mut lane_mix(),
-                1_000,
-                5_000,
-                jobs,
-                &CancelToken::new(),
-            )
-            .expect("concurrent lanes");
-            assert_eq!(concurrent.len(), serial.len());
-            for (lane, (c, s)) in concurrent.iter().zip(&serial).enumerate() {
-                assert_eq!(
-                    (c.instructions, c.cycles),
-                    (s.instructions, s.cycles),
-                    "lane {lane} diverged at jobs={jobs}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lanes_are_independent_single_core_machines() {
-        // Each lane owns its private hierarchy slice, so lane stats must
-        // equal a standalone single-core run of the same workload.
-        let cfg = SimConfig::baseline();
-        let stats =
-            run_multicore_lanes(&cfg, &mut lane_mix(), 1_000, 5_000, 2, &CancelToken::new())
-                .expect("lanes");
-        for (i, (b, lane)) in [
-            BenchmarkId::Mcf,
-            BenchmarkId::Pr,
-            BenchmarkId::Xalancbmk,
-            BenchmarkId::Canneal,
-        ]
-        .iter()
-        .zip(&stats)
-        .enumerate()
-        {
-            let mut wl = b.build(Scale::Test, i as u64 + 1);
-            let mut m = Machine::new(&cfg).expect("machine");
-            let alone = m.run(wl.as_mut(), 1_000, 5_000).expect("alone run");
-            assert_eq!(lane.cycles, alone.core.cycles, "lane {i} ({})", b.name());
-            assert_eq!(lane.instructions, alone.core.instructions);
-        }
-    }
-
-    #[test]
-    fn lanes_reject_zero_jobs_and_empty_mixes() {
-        let cfg = SimConfig::baseline();
-        let err = run_multicore_lanes(&cfg, &mut lane_mix(), 100, 100, 0, &CancelToken::new())
-            .unwrap_err();
-        assert!(matches!(err, SimError::Config(_)), "{err}");
-        let mut empty: Vec<Box<dyn Workload>> = Vec::new();
-        let err =
-            run_multicore_lanes(&cfg, &mut empty, 100, 100, 2, &CancelToken::new()).unwrap_err();
-        assert!(matches!(err, SimError::Config(_)), "{err}");
-    }
-
-    #[test]
-    fn cancelled_lanes_surface_cancellation() {
-        let cfg = SimConfig::baseline();
-        let token = CancelToken::new();
-        token.cancel();
-        let err = run_multicore_lanes(&cfg, &mut lane_mix(), 1_000, 5_000, 2, &token).unwrap_err();
-        assert!(matches!(err, SimError::Cancelled { .. }), "{err}");
     }
 }

@@ -11,7 +11,7 @@ use atc_types::{CancelToken, SimError};
 use atc_workloads::Workload;
 
 use crate::machine::{CoreCtx, SimConfig};
-use crate::multicore::run_interleaved;
+use crate::multicore::run_shared;
 
 /// Result of an SMT run: per-thread measured statistics.
 #[derive(Debug, Clone)]
@@ -42,7 +42,7 @@ pub fn run_smt(
 ) -> Result<SmtStats, SimError> {
     cfg.machine.validate()?;
     let mut core = [CoreCtx::new(cfg)?];
-    let stats = run_interleaved(cfg, &mut core, &mut [wl0, wl1], warmup, measure, cancel)?;
+    let stats = run_shared(cfg, &mut core, &mut [wl0, wl1], warmup, measure, cancel)?;
     let threads = stats.try_into().expect("one result per thread");
     Ok(SmtStats { threads })
 }

@@ -9,22 +9,23 @@
 //!   Each was recorded from an earlier implementation of the loop it
 //!   pins, so they are references independent of the current code.
 //! * **Cancellation** — the poll threshold is observed even when it
-//!   falls inside a decode batch.
+//!   falls inside a decode batch, counted over both phases and every
+//!   thread in the machine, the shared multicore and SMT alike.
 //! * **Observation** — attaching telemetry must not change what runs.
-//! * **Multi-context modes** — `run_multicore_lanes` (one `Machine` per
-//!   lane) must match a standalone `Machine::run` of each lane at every
-//!   worker count; the shared multicore on one workload must equal
-//!   `Machine::run`, DpPred included; `run_multicore` and `run_smt`
-//!   must be run-to-run deterministic and honour
+//! * **Multi-context modes** — the shared multicore on one workload
+//!   must equal `Machine::run`, DpPred included; `run_multicore` and
+//!   `run_smt` must be run-to-run deterministic and honour
 //!   `SimConfig::ignore_deps`.
 
 use atc_bench::fnv1a;
 use atc_core::{Enhancement, IdealConfig, PolicyChoice};
 use atc_prefetch::PrefetcherKind;
 use atc_sim::machine::CANCEL_POLL_INSTRS;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use atc_sim::{
-    run_multicore, run_multicore_lanes, run_smt, Machine, RunStats, SimConfig, TelemetryConfig,
-    DEFAULT_BATCH,
+    run_multicore, run_smt, Machine, RunStats, SimConfig, TelemetryConfig, DEFAULT_BATCH,
 };
 use atc_types::rng::SimRng;
 use atc_types::{CancelToken, SimError};
@@ -157,13 +158,15 @@ fn deadlock_partial_stats_are_pinned() {
     );
 }
 
-/// Cancels its token after issuing `after` instructions, mid-batch from
-/// the run loop's point of view (decode happens a batch at a time).
+/// Counts the records every thread of a run decodes in one shared
+/// counter and cancels the token when the count reaches `after`:
+/// mid-batch from the run loop's point of view (each thread decodes a
+/// batch at a time).
 struct CancelAfter {
     inner: Box<dyn Workload>,
     token: CancelToken,
     after: u64,
-    issued: u64,
+    decoded: Arc<AtomicU64>,
 }
 
 impl Workload for CancelAfter {
@@ -172,8 +175,7 @@ impl Workload for CancelAfter {
     }
 
     fn next_instr(&mut self) -> Instr {
-        self.issued += 1;
-        if self.issued == self.after {
+        if self.decoded.fetch_add(1, Ordering::Relaxed) + 1 == self.after {
             self.token.cancel();
         }
         self.inner.next_instr()
@@ -184,8 +186,11 @@ impl Workload for CancelAfter {
 /// multiple of [`DEFAULT_BATCH`] leaves every later batch boundary off
 /// the multiples of `CANCEL_POLL_INSTRS`, so an `is_multiple_of` poll
 /// would never fire and the run would ignore cancellation entirely. The
-/// threshold comparison must observe the token within one poll stride
-/// plus one batch.
+/// threshold comparison must observe the token within one poll stride,
+/// and the count it reports covers both phases and every thread: when
+/// the token is cancelled at the `AFTER`-th decoded record, at most one
+/// batch per thread is decoded but not yet executed. The machine, a
+/// one-workload shared multicore and an SMT pair run the same loop.
 #[test]
 fn cancellation_observed_mid_batch_with_non_dividing_batch_size() {
     const WARMUP: u64 = 1_000;
@@ -193,27 +198,65 @@ fn cancellation_observed_mid_batch_with_non_dividing_batch_size() {
     const MEASURE: u64 = 40_000;
     assert!(!WARMUP.is_multiple_of(DEFAULT_BATCH as u64));
 
-    let token = CancelToken::new();
-    let mut wl = CancelAfter {
-        inner: BenchmarkId::Mcf.build(Scale::Test, 3),
-        token: token.clone(),
-        after: AFTER,
-        issued: 0,
+    let mix = |benches: &[(BenchmarkId, u64)]| {
+        let token = CancelToken::new();
+        let decoded = Arc::new(AtomicU64::new(0));
+        let wls: Vec<Box<dyn Workload>> = benches
+            .iter()
+            .map(|&(b, seed)| {
+                Box::new(CancelAfter {
+                    inner: b.build(Scale::Test, seed),
+                    token: token.clone(),
+                    after: AFTER,
+                    decoded: Arc::clone(&decoded),
+                }) as Box<dyn Workload>
+            })
+            .collect();
+        (token, wls)
     };
+    let check = |topology: &str, threads: u64, error: SimError| {
+        let SimError::Cancelled { instructions } = error else {
+            panic!("{topology}: expected cancellation, got: {error}");
+        };
+        let earliest = AFTER - threads * DEFAULT_BATCH as u64;
+        assert!(
+            (earliest..=AFTER + CANCEL_POLL_INSTRS).contains(&instructions),
+            "{topology}: cancel observed at {instructions}, expected within one poll \
+             stride of {AFTER} decoded records"
+        );
+        assert!(
+            instructions < threads * (WARMUP + MEASURE),
+            "{topology}: run must not complete"
+        );
+        instructions
+    };
+
+    let (token, mut wls) = mix(&[(BenchmarkId::Mcf, 3)]);
     let mut m = Machine::new(&SimConfig::baseline()).unwrap();
     let fail = m
-        .run_cancellable(&mut wl, WARMUP, MEASURE, &token)
+        .run_cancellable(wls[0].as_mut(), WARMUP, MEASURE, &token)
         .expect_err("run must abort once the token is cancelled");
-    let SimError::Cancelled { instructions } = fail.error else {
-        panic!("expected cancellation, got: {}", fail.error);
-    };
-    assert!(
-        (AFTER..AFTER + 2 * CANCEL_POLL_INSTRS).contains(&instructions),
-        "cancel observed at {instructions}, expected within one poll stride of {AFTER}"
-    );
-    assert!(instructions < WARMUP + MEASURE, "run must not complete");
+    let instructions = check("machine", 1, fail.error);
     let partial = fail.partial.expect("cancellation salvages partial stats");
     assert_eq!(partial.core.instructions, instructions - WARMUP);
+
+    let (token, mut wls) = mix(&[(BenchmarkId::Mcf, 3)]);
+    let error = run_multicore(&SimConfig::baseline(), &mut wls, WARMUP, MEASURE, &token)
+        .expect_err("multicore must abort once the token is cancelled");
+    check("one-core multicore", 1, error);
+
+    let (token, mut wls) = mix(&[(BenchmarkId::Mcf, 3), (BenchmarkId::Pr, 4)]);
+    let (a, b) = wls.split_at_mut(1);
+    let error = run_smt(
+        &SimConfig::baseline(),
+        a[0].as_mut(),
+        b[0].as_mut(),
+        WARMUP,
+        MEASURE,
+        &token,
+    )
+    .expect_err("SMT must abort once the token is cancelled");
+    check("SMT", 2, error);
 }
 
 /// The pinned matrix: catalog configs `base`, `tempo`, `tempo` with a
@@ -331,45 +374,6 @@ fn random_mix(rng: &mut SimRng, lanes: usize) -> Vec<(BenchmarkId, u64)> {
 
 fn build_mix(mix: &[(BenchmarkId, u64)]) -> Vec<Box<dyn Workload>> {
     mix.iter().map(|(b, s)| b.build(Scale::Test, *s)).collect()
-}
-
-/// `run_multicore_lanes` runs one `Machine` per lane on its own thread;
-/// every lane's `CoreStats` must equal a standalone `Machine::run` of
-/// that lane's workload, at every worker count.
-#[test]
-fn lanes_match_the_scalar_oracle_under_random_configs() {
-    let mut rng = SimRng::seed_from_u64(0x3e77_0b1a);
-    for trial in 0..5u64 {
-        let cfg = random_multi_config(&mut rng);
-        let lanes = 2 + rng.next_below(2) as usize;
-        let mix = random_mix(&mut rng, lanes);
-        let oracle: Vec<String> = mix
-            .iter()
-            .map(|(b, s)| {
-                let mut wl = b.build(Scale::Test, *s);
-                let mut m = Machine::new(&cfg).expect("valid config");
-                let stats = m.run(wl.as_mut(), 1_000, 4_000).expect("oracle run");
-                format!("{:?}", stats.core)
-            })
-            .collect();
-        for jobs in [1usize, 2, 5] {
-            let got = run_multicore_lanes(
-                &cfg,
-                &mut build_mix(&mix),
-                1_000,
-                4_000,
-                jobs,
-                &CancelToken::new(),
-            )
-            .expect("lane run");
-            let got: Vec<String> = got.iter().map(|c| format!("{c:?}")).collect();
-            assert_eq!(
-                got, oracle,
-                "trial {trial} (mix {mix:?}, jobs {jobs}): lane stats diverge from \
-                 Machine::run\ncfg: {cfg:?}"
-            );
-        }
-    }
 }
 
 fn shared_multicore(cfg: &SimConfig, mix: &[(BenchmarkId, u64)]) -> String {
