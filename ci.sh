@@ -44,10 +44,10 @@ cargo run --offline --release -p atc-bench --bin check_bench_json -- \
     --min-ratio "machine/baseline:8875119:0.85" BENCH_sim.json
 
 echo "==> harness scaling bench (harness_scaling --append)"
-# Suite wall-time at 1/2/4/8 workers, merged into the same trajectory
+# Suite wall-time at 1 and 2 workers, merged into the same trajectory
 # document (--append replaces same-name results, keeps the rest).
 # 3 samples so min/median are meaningful; --scaling-report prints the
-# w1-vs-w4 jobs/s ratio without gating (the CI host is a shared 2-vCPU
+# w1-vs-w2 jobs/s ratio without gating (the CI host is a shared 2-vCPU
 # container, so the ratio moves with host load — see EXPERIMENTS.md).
 cargo bench --offline -p atc-harness --bench harness_scaling -- \
     --samples 3 --append --json "$PWD/BENCH_sim.json"

@@ -1,5 +1,5 @@
 //! Run the full experiment suite — every figure and table — as one
-//! checkpointed, work-stealing process.
+//! checkpointed process whose workers claim jobs from one shared cursor.
 //!
 //! Jobs shared between figures (the baseline feeds almost every one)
 //! run exactly once, the append-only manifest makes interrupted sweeps
@@ -124,8 +124,12 @@ fn parse_interval(v: &str) -> Result<Duration, String> {
     } else {
         (v, 1)
     };
-    match digits.parse::<u64>() {
-        Ok(n) if n > 0 => Ok(Duration::from_millis(n * scale_ms)),
+    match digits
+        .parse::<u64>()
+        .ok()
+        .and_then(|n| n.checked_mul(scale_ms))
+    {
+        Some(ms) if ms > 0 => Ok(Duration::from_millis(ms)),
         _ => Err(format!("bad interval {v:?} (want e.g. 50ms, 2s, or 250)")),
     }
 }
@@ -153,7 +157,11 @@ fn split_args(args: impl Iterator<Item = String>) -> Result<(SuiteArgs, Vec<Stri
                         .collect(),
                 )
             }
-            "--retries" => suite.retries = numeric("--retries", value("--retries")?)? as u32,
+            "--retries" => {
+                let v = numeric("--retries", value("--retries")?)?;
+                suite.retries =
+                    u32::try_from(v).map_err(|_| format!("--retries {v} is out of range"))?
+            }
             "--max-jobs" => {
                 suite.max_jobs = Some(numeric("--max-jobs", value("--max-jobs")?)? as usize)
             }
@@ -356,9 +364,9 @@ fn main() -> ExitCode {
     };
 
     // Lifecycle event capture only costs anything when a trace export
-    // was requested. Created before the manifest opens so recovery
-    // diagnostics (corrupt/duplicate/torn records) land on the event
-    // log as `recover` instants instead of ad-hoc stderr lines.
+    // was requested. Attached straight after the manifest opens, so
+    // recovery diagnostics (corrupt/duplicate/torn records) also land
+    // on the event log as `recover` instants.
     let events = if suite.trace_out.is_some() {
         Some(Arc::new(EventLog::new(
             atc_harness::events::DEFAULT_EVENT_CAPACITY,
@@ -366,17 +374,16 @@ fn main() -> ExitCode {
     } else {
         None
     };
-    let mut manifest = match Manifest::open_with_events(
-        std::path::Path::new(&suite.manifest),
-        suite.resume,
-        events.clone(),
-    ) {
+    let mut manifest = match Manifest::open(&suite.manifest, suite.resume) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("error: cannot open manifest {}: {e}", suite.manifest);
             return ExitCode::FAILURE;
         }
     };
+    if let Some(log) = &events {
+        manifest = manifest.with_events(Arc::clone(log));
+    }
     if let Some(n) = suite.flush_every {
         manifest = manifest.with_flush_every(n);
     }
@@ -634,6 +641,30 @@ mod tests {
         let got: Vec<&str> = defs.iter().map(|d| d.name).collect();
         assert_eq!(got, ["fig16", "fig14"]);
         assert_eq!(select_figures(None).unwrap().len(), sweeps().len());
+    }
+
+    fn args(list: &[&str]) -> Result<(SuiteArgs, Vec<String>), String> {
+        split_args(list.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn progress_interval_that_overflows_is_an_error() {
+        assert_eq!(parse_interval("2s"), Ok(Duration::from_secs(2)));
+        assert_eq!(
+            parse_interval("18446744073709551ms"),
+            Ok(Duration::from_millis(18_446_744_073_709_551))
+        );
+        let err = parse_interval("18446744073709552s").unwrap_err();
+        assert!(err.contains("bad interval"), "got {err:?}");
+        assert!(args(&["--progress=18446744073709552s"]).is_err());
+    }
+
+    #[test]
+    fn retries_beyond_u32_are_an_error() {
+        let (suite, _) = args(&["--retries", "4294967295"]).unwrap();
+        assert_eq!(suite.retries, u32::MAX);
+        let err = args(&["--retries", "4294967296"]).unwrap_err();
+        assert!(err.contains("--retries"), "got {err:?}");
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Suite wall-time vs. worker count.
 //!
 //! Runs the same 18-job sweep (9 benchmarks × {baseline, tempo} at test
-//! scale) through the work-stealing scheduler at 1, 2, 4 and 8 workers
-//! and reports each as a throughput bench (elems = jobs). Jobs replay
-//! instruction streams from a shared `TraceCache` — the suite's
-//! production path — so per-job cost excludes generator setup. The nine
-//! streams are captured once, before timing, mirroring the suite where
-//! capture is a one-off amortized across every config.
+//! scale) through the scheduler, whose workers claim jobs from one
+//! shared cursor, at 1 and 2 workers, and reports each as a throughput
+//! bench (elems = jobs). Only the worker counts the 2-vCPU development
+//! host really has are timed: more workers than cores measure
+//! oversubscription, not the scheduler. Jobs replay instruction streams
+//! from a shared `TraceCache` — the suite's production path — so
+//! per-job cost excludes generator setup. The nine streams are captured
+//! once, before timing, mirroring the suite where capture is a one-off
+//! amortized across every config.
 //!
-//! A derived `harness/speedup_w4` line records the w4/w1 throughput
+//! A derived `harness/speedup_w2` line records the w2/w1 throughput
 //! ratio — its `elems_per_s` JSON field holds the ratio itself — so the
 //! scaling factor is tracked in the trajectory. The curve goes into
 //! `BENCH_sim.json` next to the simulator benches (use `--append` to
@@ -23,7 +26,7 @@
 //! scheduler's retry path, the deadline watchdog, and manifest
 //! recovery once each, and records the resulting counters as derived
 //! `harness/retries`, `harness/timeouts` and `harness/corrupt_records`
-//! lines (same encoding as `speedup_w4`: `elems_per_s` *is* the count).
+//! lines (same encoding as `speedup_w2`: `elems_per_s` *is* the count).
 //! The exercise is fully deterministic, so `check_bench_json` gates on
 //! the exact expected values — a silent regression in any of those
 //! failure paths turns the trajectory check red.
@@ -63,7 +66,7 @@ fn main() {
     }
 
     let total_jobs = jobs.len() as u64;
-    for workers in [1usize, 2, 4, 8] {
+    for workers in [1usize, 2] {
         let scheduler = Scheduler::new(workers);
         reporter.bench_throughput(&format!("harness/suite_w{workers}"), 3, total_jobs, || {
             let progress = Progress::new();
@@ -93,7 +96,7 @@ fn main() {
         });
     }
 
-    // Derived scaling factor: median w4 throughput over median w1
+    // Derived scaling factor: median w2 throughput over median w1
     // throughput. Encoded so the JSON line's `elems_per_s` field *is*
     // the ratio: elems = speedup × 1000 over a fixed 1000 s denominator.
     let rate = |name: &str| {
@@ -103,12 +106,12 @@ fn main() {
             .find(|r| r.name == name)
             .and_then(|r| r.elems_per_sec())
     };
-    if let (Some(w1), Some(w4)) = (rate("harness/suite_w1"), rate("harness/suite_w4")) {
-        let speedup = w4 / w1;
-        println!("harness/speedup_w4: {speedup:.3}x (w4 {w4:.0} jobs/s vs w1 {w1:.0} jobs/s)");
+    if let (Some(w1), Some(w2)) = (rate("harness/suite_w1"), rate("harness/suite_w2")) {
+        let speedup = w2 / w1;
+        println!("harness/speedup_w2: {speedup:.3}x (w2 {w2:.0} jobs/s vs w1 {w1:.0} jobs/s)");
         const SECOND_NS: u64 = 1_000_000_000;
         reporter.record(atc_bench::BenchResult {
-            name: "harness/speedup_w4".to_string(),
+            name: "harness/speedup_w2".to_string(),
             samples: 0, // derived, not timed
             min_ns: 1000 * SECOND_NS,
             median_ns: 1000 * SECOND_NS,
@@ -135,10 +138,10 @@ fn main() {
     reporter.finish();
 }
 
-/// Regression check for the worker clamp: a queue narrower than the
-/// worker pool must not spin up idle workers (the `suite_w8` tail —
-/// 18 jobs across 8 workers — is where the spawn/join overhead of
-/// never-fed workers showed up). Claim events record the worker index,
+/// Regression check for the worker clamp: a job list shorter than the
+/// worker pool must not spin up idle workers (an 18-job sweep across 8
+/// workers is where the spawn/join overhead of never-fed workers showed
+/// up). Claim events record the worker index,
 /// so the check is direct: with 2 jobs offered to an 8-worker
 /// scheduler, no worker id ≥ 2 may ever touch the queue.
 fn clamp_exercise() {

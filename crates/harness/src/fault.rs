@@ -136,7 +136,10 @@ impl FaultPlan {
     /// May sleep (an injected stall), panic (an injected panic — caught
     /// by the scheduler like any runner panic), or return a transient
     /// [`JobError`] the caller must report instead of running the job.
-    /// Returns `Ok(())` when no fault fires.
+    /// Returns `Ok(())` when no fault fires. With `events` set to a log
+    /// and a worker id, every fired fault is recorded on that worker's
+    /// track — the panic *before* unwinding, so the timeline shows the
+    /// injection, not just the resulting panic.
     ///
     /// # Errors
     ///
@@ -146,27 +149,14 @@ impl FaultPlan {
     /// # Panics
     ///
     /// An injected panic — deliberately, to exercise panic containment.
-    pub fn before_attempt(&self, key: &str, attempt: u32) -> Result<(), JobError> {
-        self.before_attempt_traced(key, attempt, None, 0)
-    }
-
-    /// [`before_attempt`](Self::before_attempt), additionally recording
-    /// every fired fault into `events` (when attached) on worker `wid`'s
-    /// track — including the panic, recorded *before* unwinding so the
-    /// timeline shows the injection, not just the resulting panic.
-    ///
-    /// # Errors / Panics
-    ///
-    /// As [`before_attempt`](Self::before_attempt).
-    pub fn before_attempt_traced(
+    pub fn before_attempt(
         &self,
         key: &str,
         attempt: u32,
-        events: Option<&EventLog>,
-        wid: u32,
+        events: Option<(&EventLog, u32)>,
     ) -> Result<(), JobError> {
         let emit = |detail: &str| {
-            if let Some(log) = events {
+            if let Some((log, wid)) = events {
                 log.record(wid, JobEventKind::Fault, key, attempt, detail);
             }
         };
@@ -358,10 +348,10 @@ mod tests {
     #[test]
     fn key_trigger_matches_substring() {
         let p = FaultPlan::parse("1:transient@key=mcf").unwrap();
-        assert!(p.before_attempt("tempo/mcf/s42", 1).is_err());
-        assert!(p.before_attempt("tempo/pr/s42", 1).is_ok());
+        assert!(p.before_attempt("tempo/mcf/s42", 1, None).is_err());
+        assert!(p.before_attempt("tempo/pr/s42", 1, None).is_ok());
         // key= fires on every attempt: retries keep failing.
-        assert!(p.before_attempt("tempo/mcf/s42", 3).is_err());
+        assert!(p.before_attempt("tempo/mcf/s42", 3, None).is_err());
     }
 
     #[test]
@@ -373,14 +363,14 @@ mod tests {
         assert!(pattern.iter().any(|&b| b), "some flush tears at rate 0.5");
         assert!(!pattern.iter().all(|&b| b), "not every flush tears");
         // A torn-only plan injects nothing into job attempts.
-        assert!(p.before_attempt("tempo/mcf/s42", 1).is_ok());
+        assert!(p.before_attempt("tempo/mcf/s42", 1, None).is_ok());
     }
 
     #[test]
     #[should_panic(expected = "fault-injected panic")]
     fn injected_panic_panics() {
         let p = FaultPlan::parse("1:panic@key=boom").unwrap();
-        let _ = p.before_attempt("job/boom/1", 1);
+        let _ = p.before_attempt("job/boom/1", 1, None);
     }
 
     #[test]

@@ -8,20 +8,24 @@
 //! deltas × benchmarks × seeds under an instruction budget. This crate
 //! turns those sweeps into a declarative, resumable job system:
 //!
-//! 1. [`JobSpec`] / [`Grid`] ([`spec`]) — a job's deterministic identity
-//!    and the builder that expands sweeps into spec-ordered job lists.
-//! 2. [`Scheduler`] ([`scheduler`]) — a bounded work-stealing worker
-//!    pool over [`std::thread::scope`] with per-job panic capture,
-//!    bounded retry of transient failures (with seeded exponential
-//!    backoff), and a per-job deadline watchdog that cancels runaway
-//!    attempts through each attempt's [`JobCtx`] cancellation token.
-//! 3. [`Manifest`] / [`run_with_manifest`] ([`manifest`]) — append-only
-//!    `manifest.jsonl` checkpointing with checksummed records and
-//!    skip-and-log recovery: rerunning a half-finished (or crashed)
-//!    sweep re-executes only the jobs without a usable terminal record,
-//!    and metric values round-trip bit-exactly so resumed aggregation
-//!    is byte-identical to a fresh run. Records stream to disk as jobs
-//!    complete, so even SIGKILL loses at most the unflushed tail.
+//! 1. [`JobSpec`] ([`spec`]) — a job's deterministic identity, whose
+//!    [`key`](JobSpec::key) names the job in spec-ordered job lists and
+//!    in the manifest.
+//! 2. [`Scheduler`] ([`scheduler`]) — a bounded worker pool over
+//!    [`std::thread::scope`] whose workers claim jobs in spec order from
+//!    one shared atomic cursor, with per-job panic capture, bounded
+//!    retry of transient failures (with seeded exponential backoff), and
+//!    a per-job deadline watchdog that cancels runaway attempts through
+//!    each attempt's [`JobCtx`] cancellation token. A worker lost to a
+//!    panic loses only its in-flight job.
+//! 3. [`Manifest`] / [`run_with_manifest_opts`] ([`manifest`]) —
+//!    append-only `manifest.jsonl` checkpointing with checksummed
+//!    records and skip-and-log recovery: rerunning a half-finished (or
+//!    crashed) sweep re-executes only the jobs without a usable terminal
+//!    record, and metric values round-trip bit-exactly so resumed
+//!    aggregation is byte-identical to a fresh run. Records stream to
+//!    disk as jobs complete, so even SIGKILL loses at most the unflushed
+//!    tail.
 //! 4. [`Progress`] ([`progress`]) — queued/running/done/failed/panicked
 //!    /timeout counters and a per-job wall-time histogram in an
 //!    `atc-obs` [`Registry`](atc_obs::Registry).
@@ -46,28 +50,36 @@
 //! # Example
 //!
 //! ```
-//! use atc_harness::{Grid, Manifest, Metrics, Progress, Scheduler, run_with_manifest};
+//! use atc_harness::{
+//!     run_with_manifest_opts, JobSpec, Manifest, Metrics, Progress, Scheduler, SweepOptions,
+//! };
 //! use atc_workloads::{BenchmarkId, Scale};
 //!
-//! let specs = Grid::new()
-//!     .configs(["base", "tempo"])
-//!     .benchmarks(&[BenchmarkId::Mcf])
-//!     .scale(Scale::Test)
-//!     .budget(100, 1_000)
-//!     .build();
-//! let jobs: Vec<(String, atc_harness::JobSpec)> =
-//!     specs.into_iter().map(|s| (s.key(), s)).collect();
+//! let jobs: Vec<(String, JobSpec)> = ["base", "tempo"]
+//!     .into_iter()
+//!     .map(|config| JobSpec {
+//!         config: config.to_string(),
+//!         bench: BenchmarkId::Mcf,
+//!         seed: 42,
+//!         scale: Scale::Test,
+//!         warmup: 100,
+//!         measure: 1_000,
+//!     })
+//!     .map(|spec| (spec.key(), spec))
+//!     .collect();
+//! assert_eq!(jobs[0].0, "base/mcf/s42/test/w100/m1000");
 //!
 //! let dir = std::env::temp_dir().join(format!("atc-harness-doc-{}", std::process::id()));
 //! std::fs::create_dir_all(&dir).unwrap();
 //! let mut manifest = Manifest::open(dir.join("manifest.jsonl"), false).unwrap();
 //! let progress = Progress::new();
-//! let out = run_with_manifest(
+//! let out = run_with_manifest_opts(
 //!     &Scheduler::new(2),
 //!     &progress,
 //!     &mut manifest,
 //!     &jobs,
 //!     |_key, spec, _ctx| Ok(Metrics::from([("seed", spec.seed as f64)])),
+//!     SweepOptions::default(),
 //! )
 //! .unwrap();
 //! assert_eq!(out.executed, 2);
@@ -85,9 +97,8 @@ pub mod spec;
 pub use events::{EventLog, JobEvent, JobEventKind, MANIFEST_WORKER, WATCHDOG_WORKER};
 pub use fault::FaultPlan;
 pub use manifest::{
-    run_with_manifest, run_with_manifest_opts, Manifest, Metrics, Record, Recovery, SweepOptions,
-    SweepOutcome,
+    run_with_manifest_opts, Manifest, Metrics, Record, Recovery, SweepOptions, SweepOutcome,
 };
 pub use progress::{live_line, Progress};
 pub use scheduler::{JobCtx, JobError, JobRun, JobStatus, Scheduler};
-pub use spec::{key_hash, Grid, JobSpec};
+pub use spec::{key_hash, JobSpec};

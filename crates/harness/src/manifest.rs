@@ -30,8 +30,10 @@
 //!   record's bytes landed) resolves **last-writer-wins**, making
 //!   record replay idempotent.
 //!
-//! Anything recovery had to repair is summarized in one stderr line and
-//! exposed via [`Manifest::recovery`] for the suite's end-of-run tally.
+//! Anything recovery had to repair is summarized in one stderr line,
+//! exposed via [`Manifest::recovery`] for the suite's end-of-run tally,
+//! and, once an event log is attached with [`Manifest::with_events`],
+//! recorded as `recover` events on the manifest's trace track.
 //!
 //! Metric values are `f64`s rendered with Rust's shortest round-trip
 //! formatting, so a value read back from the manifest is bit-identical
@@ -347,26 +349,6 @@ impl Manifest {
     ///
     /// Only real I/O failures (open, read, truncate).
     pub fn open(path: impl Into<PathBuf>, resume: bool) -> io::Result<Manifest> {
-        Self::open_with_events(path, resume, None)
-    }
-
-    /// [`open`](Self::open) with recovery diagnostics routed through an
-    /// [`EventLog`] instead of ad-hoc stderr: anything noteworthy
-    /// (corrupt lines, superseded duplicates, a truncated torn tail)
-    /// lands as [`JobEventKind::Recover`] events on the manifest's own
-    /// track, so server-side recoveries show up on the Perfetto
-    /// timeline. With `events = None` the stderr summary of
-    /// [`open`](Self::open) is kept. The log is also retained for flush
-    /// events, as if [`with_events`](Self::with_events) had been called.
-    ///
-    /// # Errors
-    ///
-    /// Only real I/O failures (open, read, truncate).
-    pub fn open_with_events(
-        path: impl Into<PathBuf>,
-        resume: bool,
-        events: Option<Arc<EventLog>>,
-    ) -> io::Result<Manifest> {
         let path = path.into();
         let mut file = OpenOptions::new()
             .read(true)
@@ -420,42 +402,19 @@ impl Manifest {
         file.seek(SeekFrom::End(0))?;
         recovery.recovered = records.len();
         if recovery.is_noteworthy() {
-            match &events {
-                // One Recover event per damage category, on the
-                // manifest track, keyed by the store path — the
-                // trace-event renderer shows them as instants.
-                Some(log) => {
-                    let key = path.display().to_string();
-                    let recover = |detail: &str| {
-                        log.record(MANIFEST_WORKER, JobEventKind::Recover, &key, 0, detail);
-                    };
-                    if recovery.corrupt > 0 {
-                        recover(&format!("{} corrupt line(s) skipped", recovery.corrupt));
-                    }
-                    if recovery.duplicates > 0 {
-                        recover(&format!(
-                            "{} duplicate record(s) superseded",
-                            recovery.duplicates
-                        ));
-                    }
-                    if recovery.torn_tail {
-                        recover("torn tail truncated");
-                    }
-                }
-                None => eprintln!(
-                    "manifest recovery ({}): {} record(s) loaded, {} corrupt line(s) skipped, \
-                     {} duplicate record(s) superseded{}",
-                    path.display(),
-                    recovery.recovered,
-                    recovery.corrupt,
-                    recovery.duplicates,
-                    if recovery.torn_tail {
-                        ", torn tail truncated"
-                    } else {
-                        ""
-                    },
-                ),
-            }
+            eprintln!(
+                "manifest recovery ({}): {} record(s) loaded, {} corrupt line(s) skipped, \
+                 {} duplicate record(s) superseded{}",
+                path.display(),
+                recovery.recovered,
+                recovery.corrupt,
+                recovery.duplicates,
+                if recovery.torn_tail {
+                    ", torn tail truncated"
+                } else {
+                    ""
+                },
+            );
         }
 
         Ok(Manifest {
@@ -470,7 +429,7 @@ impl Manifest {
             fault: None,
             flushes: 0,
             recovery,
-            events,
+            events: None,
         })
     }
 
@@ -496,10 +455,31 @@ impl Manifest {
         self
     }
 
-    /// Record every flush into `log` on the manifest's own track
-    /// ([`MANIFEST_WORKER`](crate::events::MANIFEST_WORKER)), with the
-    /// record count and whether fault injection tore it.
+    /// Record into `log`, on the manifest's own track
+    /// ([`MANIFEST_WORKER`](crate::events::MANIFEST_WORKER)), what
+    /// [`open`](Self::open) repaired — one [`JobEventKind::Recover`]
+    /// event per damage category (corrupt lines, superseded duplicates,
+    /// a truncated torn tail), keyed by the path — and from then on
+    /// every flush, with its record count and whether fault injection
+    /// tore it. Call it straight after `open`, before any append.
     pub fn with_events(mut self, log: Arc<EventLog>) -> Manifest {
+        let recovery = &self.recovery;
+        let key = self.path.display().to_string();
+        let recover = |detail: &str| {
+            log.record(MANIFEST_WORKER, JobEventKind::Recover, &key, 0, detail);
+        };
+        if recovery.corrupt > 0 {
+            recover(&format!("{} corrupt line(s) skipped", recovery.corrupt));
+        }
+        if recovery.duplicates > 0 {
+            recover(&format!(
+                "{} duplicate record(s) superseded",
+                recovery.duplicates
+            ));
+        }
+        if recovery.torn_tail {
+            recover("torn tail truncated");
+        }
         self.events = Some(log);
         self
     }
@@ -650,7 +630,7 @@ impl Drop for Manifest {
     }
 }
 
-/// Result of [`run_with_manifest`]: one record per job in **spec
+/// Result of [`run_with_manifest_opts`]: one record per job in **spec
 /// order**, plus how many jobs actually executed vs. were resumed from
 /// the manifest.
 #[derive(Debug)]
@@ -671,33 +651,6 @@ pub struct SweepOptions {
     /// the old one (last writer wins). Off by default — a failure is a
     /// terminal record.
     pub retry_failed: bool,
-}
-
-/// [`run_with_manifest_opts`] with default [`SweepOptions`].
-///
-/// # Errors
-///
-/// Only manifest I/O fails the sweep; job failures and panics are
-/// recorded per job.
-pub fn run_with_manifest<P, F>(
-    scheduler: &Scheduler,
-    progress: &Progress,
-    manifest: &mut Manifest,
-    jobs: &[(String, P)],
-    runner: F,
-) -> io::Result<SweepOutcome>
-where
-    P: Sync,
-    F: Fn(&str, &P, &JobCtx) -> Result<Metrics, JobError> + Sync,
-{
-    run_with_manifest_opts(
-        scheduler,
-        progress,
-        manifest,
-        jobs,
-        runner,
-        SweepOptions::default(),
-    )
 }
 
 /// Execute `jobs` through `scheduler`, skipping any whose key already
@@ -1013,7 +966,7 @@ mod tests {
     }
 
     #[test]
-    fn open_with_events_routes_recovery_onto_the_manifest_track() {
+    fn with_events_routes_recovery_onto_the_manifest_track() {
         let tmp = temp_manifest("recover-events");
         let good = record("k1", "ok", Some(1.0)).to_json_line();
         let dupe = record("k1", "ok", Some(2.0)).to_json_line();
@@ -1021,7 +974,9 @@ mod tests {
         // categories in one file.
         std::fs::write(&tmp.0, format!("garbage\n{good}\n{dupe}\n{{torn")).unwrap();
         let log = Arc::new(EventLog::default());
-        let m = Manifest::open_with_events(&tmp.0, true, Some(Arc::clone(&log))).unwrap();
+        let m = Manifest::open(&tmp.0, true)
+            .unwrap()
+            .with_events(Arc::clone(&log));
         assert!(m.recovery().is_noteworthy());
         let events = log.drain();
         let recovers: Vec<_> = events
@@ -1045,7 +1000,9 @@ mod tests {
         );
         // The log stays attached: a flush records on the same track.
         drop(m);
-        let mut m = Manifest::open_with_events(&tmp.0, true, Some(Arc::clone(&log))).unwrap();
+        let mut m = Manifest::open(&tmp.0, true)
+            .unwrap()
+            .with_events(Arc::clone(&log));
         m.append(record("k2", "ok", Some(3.0))).unwrap();
         m.flush().unwrap();
         assert!(log
@@ -1073,12 +1030,13 @@ mod tests {
 
             let jobs: Vec<(String, u64)> = (0..2).map(|i| (format!("job{i}"), i)).collect();
             let run = |_k: &str, i: &u64, _ctx: &JobCtx| Ok(Metrics::from([("x", *i as f64)]));
-            let out = run_with_manifest(
+            let out = run_with_manifest_opts(
                 &Scheduler::new(1),
                 &Progress::new(),
                 &mut manifest,
                 &jobs,
                 run,
+                SweepOptions::default(),
             )
             .unwrap();
             assert_eq!((out.executed, out.resumed), (1, 1), "{status}");
@@ -1174,8 +1132,15 @@ mod tests {
         {
             let mut manifest = Manifest::open(&tmp.0, false).unwrap();
             let progress = Progress::new();
-            let out =
-                run_with_manifest(&scheduler, &progress, &mut manifest, &jobs[..3], run).unwrap();
+            let out = run_with_manifest_opts(
+                &scheduler,
+                &progress,
+                &mut manifest,
+                &jobs[..3],
+                run,
+                SweepOptions::default(),
+            )
+            .unwrap();
             assert_eq!(out.executed, 3);
             assert_eq!(out.resumed, 0);
         }
@@ -1184,7 +1149,15 @@ mod tests {
         // Second pass over all six: only the missing three execute.
         let mut manifest = Manifest::open(&tmp.0, true).unwrap();
         let progress = Progress::new();
-        let out = run_with_manifest(&scheduler, &progress, &mut manifest, &jobs, run).unwrap();
+        let out = run_with_manifest_opts(
+            &scheduler,
+            &progress,
+            &mut manifest,
+            &jobs,
+            run,
+            SweepOptions::default(),
+        )
+        .unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 6);
         assert_eq!(out.executed, 3);
         assert_eq!(out.resumed, 3);
@@ -1207,7 +1180,15 @@ mod tests {
         // retried (its failure is a terminal record).
         let mut manifest = Manifest::open(&tmp.0, true).unwrap();
         let progress = Progress::new();
-        let out = run_with_manifest(&scheduler, &progress, &mut manifest, &jobs, run).unwrap();
+        let out = run_with_manifest_opts(
+            &scheduler,
+            &progress,
+            &mut manifest,
+            &jobs,
+            run,
+            SweepOptions::default(),
+        )
+        .unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 6);
         assert_eq!(out.executed, 0);
         assert_eq!(out.resumed, 6);
@@ -1240,7 +1221,7 @@ mod tests {
         let mut manifest = Manifest::open(&tmp.0, false).unwrap().with_flush_every(1);
         let progress = Progress::new();
         let path = tmp.0.clone();
-        let out = run_with_manifest(
+        let out = run_with_manifest_opts(
             &Scheduler::new(1),
             &progress,
             &mut manifest,
@@ -1255,6 +1236,7 @@ mod tests {
                 }
                 Ok(Metrics::from([("x", *i as f64)]))
             },
+            SweepOptions::default(),
         )
         .unwrap();
         assert_eq!(out.executed, 4);

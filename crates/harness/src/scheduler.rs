@@ -1,13 +1,14 @@
-//! Bounded work-stealing scheduler with per-job panic capture, bounded
-//! retry, deadlines, and deterministic fault injection.
+//! Bounded worker pool with per-job panic capture, bounded retry,
+//! deadlines, and deterministic fault injection.
 //!
 //! A fixed pool of workers runs over [`std::thread::scope`] — no
-//! detached threads, no unsafe, no external crates. Jobs start in a
-//! shared injector deque; each worker drains its own local deque first,
-//! then pulls a small batch from the injector, then steals from the
-//! *back* of other workers' deques. Results come back in **spec order**
-//! (the order jobs were submitted), regardless of completion order, so
-//! downstream aggregation is deterministic for any worker count.
+//! detached threads, no unsafe, no external crates. The workers share
+//! one atomic cursor over the job list: each claims the next index in
+//! spec order until the cursor passes the end, then exits. Each
+//! finished job lands in its own result slot, so results come back in
+//! **spec order** (the order jobs were submitted), regardless of
+//! completion order, and downstream aggregation is deterministic for
+//! any worker count.
 //!
 //! Failure containment, per job:
 //! * a panic inside the runner is caught ([`std::panic::catch_unwind`])
@@ -21,7 +22,11 @@
 //! * with a per-job deadline configured, a watchdog thread cancels the
 //!   over-budget attempt's [`CancelToken`]; a cooperative runner winds
 //!   down with partial metrics and the job fails permanently (the same
-//!   deadline would cancel a retry too).
+//!   deadline would cancel a retry too);
+//! * a panic that escapes a worker (say, from the completion hook of
+//!   [`Scheduler::run_hooked`]) loses that worker and only its
+//!   in-flight job, which comes back [`JobStatus::Panicked`]; the other
+//!   workers keep claiming from the cursor.
 //!
 //! Every attempt receives a [`JobCtx`] carrying its cancellation token
 //! and attempt number; runners that ignore it keep working unchanged
@@ -29,9 +34,8 @@
 //! panics, transient errors, and stalls *around* the runner for
 //! robustness smokes — `None` costs one branch per attempt.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -135,7 +139,7 @@ pub struct JobCtx {
     pub attempt: u32,
 }
 
-/// Fixed-size work-stealing worker pool.
+/// Fixed-size worker pool over one shared job cursor.
 #[derive(Debug, Clone, Default)]
 pub struct Scheduler {
     workers: usize,
@@ -146,11 +150,6 @@ pub struct Scheduler {
     fault: Option<FaultPlan>,
     events: Option<Arc<EventLog>>,
 }
-
-/// How many injector jobs a worker grabs per refill: one to run plus a
-/// few for its local deque, so other workers can steal the surplus
-/// without hammering the injector lock.
-const INJECTOR_BATCH: usize = 3;
 
 impl Scheduler {
     /// A scheduler with `workers` threads (clamped to at least 1), no
@@ -211,9 +210,9 @@ impl Scheduler {
     /// threads; it must be `Sync` (shared by reference) and panic-safe
     /// in the sense that a panic poisons nothing outside the job itself.
     /// If a worker thread is lost entirely (a panic outside
-    /// `catch_unwind`, which only std itself could produce), its
-    /// unfinished jobs are reported as [`JobStatus::Panicked`] rather
-    /// than aborting.
+    /// `catch_unwind`, such as one from [`run_hooked`](Self::run_hooked)'s
+    /// hook), only its in-flight job is lost: it is reported as
+    /// [`JobStatus::Panicked`], and the other workers run the rest.
     pub fn run<P, R, F>(
         &self,
         jobs: &[(String, P)],
@@ -233,7 +232,9 @@ impl Scheduler {
     /// in *completion* order, before the end-of-run barrier. This is the
     /// streaming hook checkpointing uses to persist records as they
     /// land, so a crash mid-sweep loses at most the unflushed tail
-    /// rather than the whole pass.
+    /// rather than the whole pass. The hook runs outside the per-job
+    /// panic capture: a panicking hook loses its worker, and the job it
+    /// was completing comes back [`JobStatus::Panicked`].
     pub fn run_hooked<P, R, F, H>(
         &self,
         jobs: &[(String, P)],
@@ -255,95 +256,75 @@ impl Scheduler {
 
         // Never spawn more workers than there are jobs: a short tail
         // (total < --jobs) otherwise pays thread spawn/join for workers
-        // whose first queue poll comes up empty (visible as the
-        // harness/suite_w8 tail in the scaling bench).
+        // whose first claim comes up empty.
         let workers = self.workers.min(total);
 
-        // Shared injector: all job indices, in spec order.
-        let injector: Mutex<VecDeque<usize>> = Mutex::new((0..total).collect());
-        // Per-worker local deques, stealable by everyone.
-        let locals: Vec<Mutex<VecDeque<usize>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        let done = AtomicUsize::new(0);
+        // The next unclaimed index in spec order. `Relaxed` suffices:
+        // the cursor publishes no data (the job list is shared read-only
+        // and results go through the slot mutexes).
+        let next = AtomicUsize::new(0);
+        // One result slot per job, filled by whichever worker ran it.
+        let slots: Vec<Mutex<Option<JobRun<R>>>> = (0..total).map(|_| Mutex::new(None)).collect();
         // One published attempt per worker for the deadline watchdog:
         // (start instant, that attempt's cancel token).
         let running: Vec<Mutex<Option<(Instant, CancelToken)>>> =
             (0..workers).map(|_| Mutex::new(None)).collect();
+        // Set once every worker is joined; stops the deadline watchdog.
+        let joined = AtomicBool::new(false);
 
-        let mut slots: Vec<Option<JobRun<R>>> = Vec::with_capacity(total);
-        slots.resize_with(total, || None);
-
-        // Workers accumulate results locally and merge at the join
-        // barrier below: nothing is shared mid-run except the job
-        // queues, so result aggregation never contends. Each local
-        // vector is sized for an even share up front (steals can push
-        // it past that, at the usual amortized growth cost).
-        let share = total / workers + INJECTOR_BATCH + 1;
-        let worker_outputs: Vec<Vec<(usize, JobRun<R>)>> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
+            if let Some(deadline) = self.deadline {
+                let (running, joined) = (&running, &joined);
+                let events = self.events.as_deref();
+                scope.spawn(move || {
+                    deadline_watchdog(deadline, running, joined, progress, events);
+                });
+            }
             let handles: Vec<_> = (0..workers)
                 .map(|wid| {
-                    let injector = &injector;
-                    let locals = &locals;
-                    let done = &done;
-                    let runner = &runner;
-                    let on_complete = &on_complete;
-                    let running = &running;
-                    scope.spawn(move || {
-                        let mut out: Vec<(usize, JobRun<R>)> = Vec::with_capacity(share);
-                        while let Some(idx) = next_job(wid, injector, locals, done, total) {
-                            let (key, payload) = &jobs[idx];
-                            if let Some(log) = &self.events {
-                                log.record(wid as u32, JobEventKind::Claim, key, 0, "");
-                            }
-                            let run = self.execute_one(
-                                wid as u32,
-                                key,
-                                payload,
-                                runner,
-                                progress,
-                                &running[wid],
-                            );
-                            on_complete(&run);
-                            out.push((idx, run));
-                            done.fetch_add(1, Ordering::SeqCst);
+                    let (next, slots, running) = (&next, &slots, &running);
+                    let (runner, on_complete) = (&runner, &on_complete);
+                    scope.spawn(move || loop {
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        let Some((key, payload)) = jobs.get(idx) else {
+                            break;
+                        };
+                        if let Some(log) = &self.events {
+                            log.record(wid as u32, JobEventKind::Claim, key, 0, "");
                         }
-                        out
+                        let run = self.execute_one(
+                            wid as u32,
+                            key,
+                            payload,
+                            runner,
+                            progress,
+                            &running[wid],
+                        );
+                        on_complete(&run);
+                        *lock(&slots[idx]) = Some(run);
                     })
                 })
                 .collect();
-            if let Some(deadline) = self.deadline {
-                // The watchdog lives inside the same scope: it exits as
-                // soon as every job is done, so the scope still joins
-                // promptly.
-                let done = &done;
-                let running = &running;
-                let events = self.events.as_deref();
-                scope.spawn(move || {
-                    deadline_watchdog(deadline, running, done, total, progress, events);
-                });
+            // A worker lost to a panic has already unwound; the others
+            // drained the cursor. Joining here (not at scope end) keeps
+            // that panic from propagating, and releases the watchdog.
+            for handle in handles {
+                let _ = handle.join();
             }
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_default())
-                .collect()
+            joined.store(true, Ordering::Relaxed);
         });
 
-        for outputs in worker_outputs {
-            for (idx, run) in outputs {
-                slots[idx] = Some(run);
-            }
-        }
-
-        // A lost worker thread (join error above) leaves holes; report
-        // them as panics instead of panicking ourselves.
+        // A lost worker leaves its in-flight job's slot empty; report it
+        // as a panic instead of panicking ourselves.
         slots
             .into_iter()
-            .enumerate()
-            .map(|(idx, slot)| {
+            .zip(jobs)
+            .map(|(slot, (key, _))| {
+                let slot = slot.into_inner().unwrap_or_else(|e| e.into_inner());
                 slot.unwrap_or_else(|| {
                     progress.job_finished("panicked", 0);
                     let run = JobRun {
-                        key: jobs[idx].0.clone(),
+                        key: key.clone(),
                         attempts: 0,
                         wall_micros: 0,
                         status: JobStatus::Panicked("worker thread lost".into()),
@@ -387,16 +368,16 @@ impl Scheduler {
                 attempt: attempts,
             };
             emit(JobEventKind::Start, attempts, "");
-            *lock_slot(slot) = Some((Instant::now(), ctx.cancel.clone()));
+            *lock(slot) = Some((Instant::now(), ctx.cancel.clone()));
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if let Some(plan) = &self.fault {
                     // Injected stalls sleep here; injected panics and
                     // transient errors surface exactly like runner ones.
-                    plan.before_attempt_traced(key, attempts, events, wid)?;
+                    plan.before_attempt(key, attempts, events.map(|log| (log, wid)))?;
                 }
                 runner(key, payload, &ctx)
             }));
-            *lock_slot(slot) = None;
+            *lock(slot) = None;
             if ctx.cancel.is_cancelled() {
                 emit(JobEventKind::Cancel, attempts, "attempt token cancelled");
             }
@@ -431,20 +412,20 @@ impl Scheduler {
 }
 
 /// Scan the published attempts every few milliseconds and cancel any
-/// that overran `deadline`. Counts each cancellation once (the token
-/// latches, so a cancelled attempt is skipped on later scans).
+/// that overran `deadline`, until `joined` says every worker is gone.
+/// Counts each cancellation once (the token latches, so a cancelled
+/// attempt is skipped on later scans).
 fn deadline_watchdog(
     deadline: Duration,
     running: &[Mutex<Option<(Instant, CancelToken)>>],
-    done: &AtomicUsize,
-    total: usize,
+    joined: &AtomicBool,
     progress: &Progress,
     events: Option<&EventLog>,
 ) {
     let tick = (deadline / 8).clamp(Duration::from_millis(1), Duration::from_millis(25));
-    while done.load(Ordering::SeqCst) < total {
+    while !joined.load(Ordering::Relaxed) {
         for (wid, slot) in running.iter().enumerate() {
-            let guard = lock_slot(slot);
+            let guard = lock(slot);
             if let Some((started, token)) = guard.as_ref() {
                 if started.elapsed() > deadline && !token.is_cancelled() {
                     token.cancel();
@@ -468,66 +449,9 @@ fn deadline_watchdog(
     }
 }
 
-/// Claim the next job index: local front, then an injector batch, then
-/// steal from the back of another worker's deque. Returns `None` once
-/// all `total` jobs are done.
-fn next_job(
-    wid: usize,
-    injector: &Mutex<VecDeque<usize>>,
-    locals: &[Mutex<VecDeque<usize>>],
-    done: &AtomicUsize,
-    total: usize,
-) -> Option<usize> {
-    let mut backoff_us = 20u64;
-    loop {
-        if let Some(idx) = lock_queue(&locals[wid]).pop_front() {
-            return Some(idx);
-        }
-        {
-            let mut inj = lock_queue(injector);
-            if let Some(idx) = inj.pop_front() {
-                let mut local = lock_queue(&locals[wid]);
-                for _ in 0..INJECTOR_BATCH {
-                    match inj.pop_front() {
-                        Some(extra) => local.push_back(extra),
-                        None => break,
-                    }
-                }
-                return Some(idx);
-            }
-        }
-        for (other, queue) in locals.iter().enumerate() {
-            if other == wid {
-                continue;
-            }
-            if let Some(idx) = lock_queue(queue).pop_back() {
-                return Some(idx);
-            }
-        }
-        if done.load(Ordering::SeqCst) >= total {
-            return None;
-        }
-        // Everything is claimed but not yet finished: a worker could
-        // still die and strand its local deque, so stay around — but
-        // park with growing backoff instead of yield-spinning. Spinning
-        // idlers steal the CPU the busy workers need, which is ruinous
-        // when workers outnumber cores.
-        std::thread::sleep(std::time::Duration::from_micros(backoff_us));
-        backoff_us = (backoff_us * 2).min(500);
-    }
-}
-
-/// Lock a queue, tolerating poison: the queues hold plain `usize`
-/// indices, so a panic mid-operation cannot leave them inconsistent.
-fn lock_queue(q: &Mutex<VecDeque<usize>>) -> std::sync::MutexGuard<'_, VecDeque<usize>> {
-    q.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Lock a watchdog slot, tolerating poison (it holds an instant and a
-/// token — both panic-proof plain data).
-fn lock_slot(
-    s: &Mutex<Option<(Instant, CancelToken)>>,
-) -> std::sync::MutexGuard<'_, Option<(Instant, CancelToken)>> {
+/// Lock a watchdog or result slot, tolerating poison: both hold plain
+/// data that a panic cannot leave half-written.
+fn lock<T>(s: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     s.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -798,5 +722,49 @@ mod tests {
             seen, expect,
             "every completion reached the hook exactly once"
         );
+    }
+
+    /// Run `scheduler` over eight jobs on a helper thread, with a
+    /// completion hook that panics once, on `job3`. Waits with a bound,
+    /// so a pool that hangs after losing the worker fails the test
+    /// instead of stalling the suite.
+    fn run_with_a_panicking_hook(scheduler: Scheduler) -> Vec<JobRun<u64>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let fired = AtomicBool::new(false);
+            let runs = scheduler.run_hooked(
+                &keys(8),
+                &Progress::new(),
+                |_key, &i, _ctx| Ok::<u64, JobError>(i),
+                |run| {
+                    if run.key == "job3" && !fired.swap(true, Ordering::SeqCst) {
+                        panic!("completion hook exploded");
+                    }
+                },
+            );
+            let _ = tx.send(runs);
+        });
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("the pool never returned after losing a worker")
+    }
+
+    #[test]
+    fn a_lost_worker_loses_only_its_in_flight_job() {
+        for scheduler in [
+            Scheduler::new(2),
+            // The deadline watchdog must wind down too.
+            Scheduler::new(2).with_deadline(Duration::from_secs(30)),
+        ] {
+            let runs = run_with_a_panicking_hook(scheduler);
+            assert_eq!(runs.len(), 8);
+            for (i, run) in runs.iter().enumerate() {
+                assert_eq!(run.key, format!("job{i}"));
+                if i == 3 {
+                    assert_eq!(run.status, JobStatus::Panicked("worker thread lost".into()));
+                } else {
+                    assert_eq!(run.status, JobStatus::Ok(i as u64));
+                }
+            }
+        }
     }
 }

@@ -1,5 +1,4 @@
-//! Declarative sweep descriptions: deterministic job keys and cartesian
-//! grids.
+//! Job identity: deterministic job keys for sweep jobs.
 //!
 //! A [`JobSpec`] is the identity of one simulation run — a configuration
 //! *label* (the config-delta name, e.g. `tempo` or `stlb512-base`), a
@@ -62,113 +61,6 @@ impl JobSpec {
     }
 }
 
-/// Builder for a cartesian sweep: configs × benchmarks × seeds under one
-/// instruction budget.
-///
-/// # Example
-///
-/// ```
-/// use atc_harness::Grid;
-/// use atc_workloads::{BenchmarkId, Scale};
-///
-/// let jobs = Grid::new()
-///     .configs(["base", "tempo"])
-///     .benchmarks(&[BenchmarkId::Mcf, BenchmarkId::Pr])
-///     .seeds([42])
-///     .scale(Scale::Test)
-///     .budget(1_000, 10_000)
-///     .build();
-/// assert_eq!(jobs.len(), 4);
-/// assert_eq!(jobs[0].key(), "base/mcf/s42/test/w1000/m10000");
-/// ```
-#[derive(Debug, Clone)]
-pub struct Grid {
-    configs: Vec<String>,
-    benchmarks: Vec<BenchmarkId>,
-    seeds: Vec<u64>,
-    scale: Scale,
-    warmup: u64,
-    measure: u64,
-}
-
-impl Default for Grid {
-    fn default() -> Self {
-        Grid::new()
-    }
-}
-
-impl Grid {
-    /// An empty grid with the experiment defaults (seed 42, `Small`
-    /// scale, 200 k warmup + 2 M measured instructions).
-    pub fn new() -> Self {
-        Grid {
-            configs: Vec::new(),
-            benchmarks: Vec::new(),
-            seeds: vec![42],
-            scale: Scale::Small,
-            warmup: 200_000,
-            measure: 2_000_000,
-        }
-    }
-
-    /// Set the config-delta labels.
-    pub fn configs<I, S>(mut self, configs: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.configs = configs.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Set the benchmarks.
-    pub fn benchmarks(mut self, benchmarks: &[BenchmarkId]) -> Self {
-        self.benchmarks = benchmarks.to_vec();
-        self
-    }
-
-    /// Set the seeds.
-    pub fn seeds<I: IntoIterator<Item = u64>>(mut self, seeds: I) -> Self {
-        self.seeds = seeds.into_iter().collect();
-        self
-    }
-
-    /// Set the workload scale.
-    pub fn scale(mut self, scale: Scale) -> Self {
-        self.scale = scale;
-        self
-    }
-
-    /// Set the instruction budget.
-    pub fn budget(mut self, warmup: u64, measure: u64) -> Self {
-        self.warmup = warmup;
-        self.measure = measure;
-        self
-    }
-
-    /// Expand the cartesian product in config-major, then benchmark,
-    /// then seed order. The expansion order is the *spec order* that
-    /// aggregation preserves regardless of completion order.
-    pub fn build(&self) -> Vec<JobSpec> {
-        let mut out = Vec::with_capacity(self.configs.len() * self.benchmarks.len());
-        for config in &self.configs {
-            for &bench in &self.benchmarks {
-                for &seed in &self.seeds {
-                    out.push(JobSpec {
-                        config: config.clone(),
-                        bench,
-                        seed,
-                        scale: self.scale,
-                        warmup: self.warmup,
-                        measure: self.measure,
-                    });
-                }
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,37 +80,5 @@ mod tests {
         };
         assert_eq!(spec.key(), "tempo/pr/s42/test/w1000/m10000");
         assert_eq!(spec.hash(), key_hash(&spec.key()));
-    }
-
-    #[test]
-    fn grid_expands_config_major() {
-        let jobs = Grid::new()
-            .configs(["a", "b"])
-            .benchmarks(&[BenchmarkId::Mcf, BenchmarkId::Pr])
-            .seeds([1, 2])
-            .scale(Scale::Test)
-            .budget(10, 20)
-            .build();
-        assert_eq!(jobs.len(), 8);
-        let keys: Vec<String> = jobs.iter().map(JobSpec::key).collect();
-        assert_eq!(keys[0], "a/mcf/s1/test/w10/m20");
-        assert_eq!(keys[1], "a/mcf/s2/test/w10/m20");
-        assert_eq!(keys[2], "a/pr/s1/test/w10/m20");
-        assert_eq!(keys[4], "b/mcf/s1/test/w10/m20");
-        // All keys distinct.
-        let set: std::collections::HashSet<_> = keys.iter().collect();
-        assert_eq!(set.len(), keys.len());
-    }
-
-    #[test]
-    fn default_budget_matches_experiment_defaults() {
-        let jobs = Grid::new()
-            .configs(["base"])
-            .benchmarks(&[BenchmarkId::Mcf])
-            .build();
-        assert_eq!(jobs[0].seed, 42);
-        assert_eq!(jobs[0].warmup, 200_000);
-        assert_eq!(jobs[0].measure, 2_000_000);
-        assert_eq!(jobs[0].scale, Scale::Small);
     }
 }

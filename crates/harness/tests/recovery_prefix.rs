@@ -9,7 +9,8 @@
 use std::path::PathBuf;
 
 use atc_harness::{
-    run_with_manifest, JobCtx, JobError, Manifest, Metrics, Progress, Record, Scheduler,
+    run_with_manifest_opts, JobCtx, JobError, Manifest, Metrics, Progress, Record, Scheduler,
+    SweepOptions,
 };
 use atc_types::SimRng;
 
@@ -109,7 +110,7 @@ fn every_byte_prefix_recovers_cleanly_and_resumes_exactly_the_missing_jobs() {
         // (b) Resume re-executes exactly the jobs the crash lost.
         let progress = Progress::new();
         let executed_keys = std::sync::Mutex::new(Vec::new());
-        let out = run_with_manifest(
+        let out = run_with_manifest_opts(
             &Scheduler::new(2),
             &progress,
             &mut m,
@@ -126,6 +127,7 @@ fn every_byte_prefix_recovers_cleanly_and_resumes_exactly_the_missing_jobs() {
                     Err(JobError::permanent("seeded failure"))
                 }
             },
+            SweepOptions::default(),
         )
         .unwrap();
         assert_eq!(out.resumed, complete, "prefix of {cut} bytes");
