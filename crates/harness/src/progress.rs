@@ -71,8 +71,8 @@ impl Progress {
     /// A job reached a terminal status (`"ok"`, `"failed"` or
     /// `"panicked"`) after `wall_micros` of wall time.
     pub fn job_finished(&self, tag: &str, wall_micros: u64) {
-        // Saturating decrement: a lost-worker hole is finished without
-        // having observably started, and the gauge must not wrap.
+        // Saturating decrement: the gauge must not wrap, whatever order
+        // a lost worker's job is reported in.
         let _ = self
             .running
             .fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(1)));

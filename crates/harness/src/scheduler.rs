@@ -301,6 +301,11 @@ impl Scheduler {
                             &running[wid],
                         );
                         on_complete(&run);
+                        // Counted only once the hook has returned: a job
+                        // whose hook panics is counted by the lost-worker
+                        // fallback below instead, so each job reaches
+                        // `Progress` exactly once.
+                        progress.job_finished(run.status.tag(), run.wall_micros);
                         *lock(&slots[idx]) = Some(run);
                     })
                 })
@@ -339,7 +344,8 @@ impl Scheduler {
     /// Run one job to its terminal status: catch panics, retry transient
     /// errors (after any configured backoff) up to the retry bound,
     /// publish each attempt to the deadline watchdog, and inject any
-    /// configured faults around the runner.
+    /// configured faults around the runner. The caller reports the
+    /// terminal status to `progress`.
     fn execute_one<P, R, F>(
         &self,
         wid: u32,
@@ -400,7 +406,6 @@ impl Scheduler {
             }
         };
         let wall_micros = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        progress.job_finished(status.tag(), wall_micros);
         emit(JobEventKind::Finish, attempts, status.tag());
         JobRun {
             key: key.to_string(),
@@ -469,6 +474,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atc_obs::Registry;
     use std::sync::atomic::AtomicU32;
 
     fn keys(n: usize) -> Vec<(String, u64)> {
@@ -725,16 +731,18 @@ mod tests {
     }
 
     /// Run `scheduler` over eight jobs on a helper thread, with a
-    /// completion hook that panics once, on `job3`. Waits with a bound,
-    /// so a pool that hangs after losing the worker fails the test
-    /// instead of stalling the suite.
-    fn run_with_a_panicking_hook(scheduler: Scheduler) -> Vec<JobRun<u64>> {
+    /// completion hook that panics once, on `job3`; returns the runs and
+    /// the final progress snapshot. Waits with a bound, so a pool that
+    /// hangs after losing the worker fails the test instead of stalling
+    /// the suite.
+    fn run_with_a_panicking_hook(scheduler: Scheduler) -> (Vec<JobRun<u64>>, Registry) {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let fired = AtomicBool::new(false);
+            let progress = Progress::new();
             let runs = scheduler.run_hooked(
                 &keys(8),
-                &Progress::new(),
+                &progress,
                 |_key, &i, _ctx| Ok::<u64, JobError>(i),
                 |run| {
                     if run.key == "job3" && !fired.swap(true, Ordering::SeqCst) {
@@ -742,7 +750,7 @@ mod tests {
                     }
                 },
             );
-            let _ = tx.send(runs);
+            let _ = tx.send((runs, progress.snapshot()));
         });
         rx.recv_timeout(Duration::from_secs(30))
             .expect("the pool never returned after losing a worker")
@@ -755,7 +763,7 @@ mod tests {
             // The deadline watchdog must wind down too.
             Scheduler::new(2).with_deadline(Duration::from_secs(30)),
         ] {
-            let runs = run_with_a_panicking_hook(scheduler);
+            let (runs, snap) = run_with_a_panicking_hook(scheduler);
             assert_eq!(runs.len(), 8);
             for (i, run) in runs.iter().enumerate() {
                 assert_eq!(run.key, format!("job{i}"));
@@ -765,6 +773,17 @@ mod tests {
                     assert_eq!(run.status, JobStatus::Ok(i as u64));
                 }
             }
+            // Each job's terminal status reaches `Progress` once.
+            let c = |name: &str| snap.counter_value(name).unwrap();
+            assert_eq!(c("harness.jobs_done"), 7);
+            assert_eq!(c("harness.jobs_panicked"), 1);
+            assert_eq!(
+                c("harness.jobs_done") + c("harness.jobs_failed") + c("harness.jobs_panicked"),
+                8
+            );
+            assert_eq!(c("harness.jobs_running"), 0);
+            let wall = snap.histogram_by_name("harness.job_wall_us").unwrap();
+            assert_eq!(wall.count(), 8);
         }
     }
 }

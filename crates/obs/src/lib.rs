@@ -7,8 +7,8 @@
 //!   [`Log2Histogram`]s behind integer handles. Handles are resolved by
 //!   name once at attach time; the hot path is a bounds-checked array
 //!   increment with no allocation and no hashing.
-//! * [`Sink`] / [`SpanTracer`] — event spans for page walks and replay
-//!   loads, recorded into a bounded ring buffer (see [`span`]).
+//! * [`SpanTracer`] — event spans for page walks and replay loads,
+//!   recorded into a bounded ring buffer (see [`span`]).
 //! * [`TelemetrySnapshot`] — an owned end-of-run copy of everything,
 //!   exported as the `atc-telemetry-v1` JSON document by `atc-bench`.
 //!
@@ -32,9 +32,7 @@ pub mod hist;
 pub mod span;
 
 pub use hist::{Log2Histogram, LOG2_BUCKETS};
-pub use span::{
-    NullSink, ReplayOutcome, ReplaySpan, Sink, SpanTracer, WalkHop, WalkSpan, MAX_WALK_HOPS,
-};
+pub use span::{ReplayOutcome, ReplaySpan, SpanTracer, WalkHop, WalkSpan, MAX_WALK_HOPS};
 
 /// Handle to a named counter in a [`Registry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

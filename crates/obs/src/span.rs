@@ -1,13 +1,10 @@
-//! Event spans and sinks.
+//! Event spans and their recorder.
 //!
-//! A [`Sink`] receives *completed* spans: a [`WalkSpan`] when a page
-//! walk finishes (one [`WalkHop`] per PTE read, recording which level of
-//! the hierarchy answered it), and a [`ReplaySpan`] when a replay load's
-//! lifetime resolves (reused, dead, or still open at snapshot time).
-//! Every method has a no-op default, so an instrumentation point costs
-//! one virtual call even for sinks that only care about one span kind.
-//!
-//! [`SpanTracer`] is the standard sink: a bounded ring buffer that
+//! A [`SpanTracer`] receives *completed* spans: a [`WalkSpan`] when a
+//! page walk finishes (one [`WalkHop`] per PTE read, recording which
+//! level of the hierarchy answered it), and a [`ReplaySpan`] when a
+//! replay load's lifetime resolves (reused, dead, or still open at
+//! snapshot time). It is a bounded ring buffer per span kind that
 //! overwrites the oldest span once full and counts what it dropped. The
 //! sampling decision (1-in-N) is the *producer's* job — the tracer
 //! stores whatever it is given.
@@ -104,22 +101,8 @@ pub struct ReplaySpan {
     pub outcome_cycle: u64,
 }
 
-/// Receiver of completed telemetry spans. All methods default to no-ops.
-pub trait Sink {
-    /// A page walk completed.
-    fn walk_span(&mut self, _span: &WalkSpan) {}
-    /// A replay load's lifetime resolved.
-    fn replay_span(&mut self, _span: &ReplaySpan) {}
-}
-
-/// A sink that discards everything (the detached default).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {}
-
-/// Bounded ring-buffer sink: keeps the most recent `capacity` spans of
-/// each kind, counting overwrites. Buffers are preallocated at
+/// Bounded ring-buffer span recorder: keeps the most recent `capacity`
+/// spans of each kind, counting overwrites. Buffers are preallocated at
 /// construction; recording never allocates.
 #[derive(Debug, Clone)]
 pub struct SpanTracer {
@@ -174,10 +157,9 @@ impl SpanTracer {
         self.replay_next = 0;
         self.dropped = 0;
     }
-}
 
-impl Sink for SpanTracer {
-    fn walk_span(&mut self, span: &WalkSpan) {
+    /// Record a completed page walk.
+    pub fn walk_span(&mut self, span: &WalkSpan) {
         if self.walk.len() < self.capacity {
             self.walk.push(*span);
         } else {
@@ -187,7 +169,8 @@ impl Sink for SpanTracer {
         }
     }
 
-    fn replay_span(&mut self, span: &ReplaySpan) {
+    /// Record a replay load whose lifetime resolved.
+    pub fn replay_span(&mut self, span: &ReplaySpan) {
         if self.replay.len() < self.capacity {
             self.replay.push(*span);
         } else {
@@ -271,13 +254,6 @@ mod tests {
         assert_eq!(t.dropped(), 0);
         t.walk_span(&walk(9));
         assert_eq!(t.walk_spans()[0].start, 9);
-    }
-
-    #[test]
-    fn null_sink_accepts_everything() {
-        let mut s = NullSink;
-        s.walk_span(&walk(0));
-        s.replay_span(&replay(0));
     }
 
     #[test]

@@ -16,6 +16,15 @@
 //! translation walked the page table are tagged as *replay* loads — the
 //! paper's machinery, end to end.
 //!
+//! Every access takes one path: a core's L1D and L2C, then the
+//! cores' shared side (the LLC, DRAM and the ideal oracles, held
+//! together as one uncore value), and it reports one outcome: when the
+//! data is ready and which level served it. ATP, TEMPO and the
+//! serving-level tallies behind Figs 3 and 7
+//! ([`RunStats::service_translation`], [`RunStats::service_replay`])
+//! all read that outcome; the tallies are counted once, in the core,
+//! and telemetry copies them from [`RunStats`] when it snapshots.
+//!
 //! Runs are fallible: invalid configurations surface as
 //! [`SimError::Config`](atc_types::SimError), and a machine whose memory
 //! system stops answering aborts with

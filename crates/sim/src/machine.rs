@@ -215,116 +215,134 @@ impl CoreCtx {
     }
 }
 
-/// Build the LLC for `cores` cores sharing it (MSHRs scale with the
-/// core count): `cfg.llc_policy`, or CbPred on `dppred`'s dead-page
-/// table when [`SimConfig::dppred`] is set, with the recall probe
-/// [`Probes::llc_recall`] asks for. Every topology builds its LLC here.
-pub(crate) fn build_llc(
-    cfg: &SimConfig,
-    dppred: Option<&DpPred>,
-    cores: usize,
-) -> Result<Cache, SimError> {
-    let m = &cfg.machine;
-    let policy = match dppred {
-        // CbPred replaces the LLC policy and shares DpPred's table.
-        Some(p) => (Box::new(p.cbpred_policy(m.llc.sets(), m.llc.ways))
-            as Box<dyn atc_cache::policy::ReplacementPolicy>)
-            .into(),
-        None => cfg.llc_policy.build_impl(m.llc.sets(), m.llc.ways),
-    };
-    let mut llc = Cache::new(
-        "LLC",
-        m.llc.sets(),
-        m.llc.ways,
-        m.llc.latency,
-        m.llc.mshr_entries * cores,
-        policy,
-    )?;
-    if let Some(classes) = &cfg.probes.llc_recall {
-        llc.enable_recall_probe(Probes::CAP, classes);
-    }
-    Ok(llc)
+/// The cores' shared side of the memory system: the LLC, DRAM and the
+/// ideal-cache oracles (Fig 2) every access path consults.
+pub(crate) struct Uncore {
+    pub llc: Cache,
+    pub dram: Dram,
+    pub ideal: IdealConfig,
 }
 
-/// Walk the hierarchy from `start` for `info` arriving at `cycle`.
-/// Returns `(requester_ready, serving_level)`. Missed levels along the
-/// path are filled with the final ready time; ideal-oracle levels answer
-/// the requester early while the real miss still consumes bandwidth.
-#[allow(clippy::too_many_arguments)]
+impl Uncore {
+    /// The uncore shared by `cores` cores (LLC MSHRs scale with the core
+    /// count): `cfg.llc_policy`, or CbPred on `dppred`'s dead-page table
+    /// when [`SimConfig::dppred`] is set, with the recall probe
+    /// [`Probes::llc_recall`] asks for. Every topology builds its uncore
+    /// here.
+    pub(crate) fn new(
+        cfg: &SimConfig,
+        dppred: Option<&DpPred>,
+        cores: usize,
+    ) -> Result<Self, SimError> {
+        let m = &cfg.machine;
+        let policy = match dppred {
+            // CbPred replaces the LLC policy and shares DpPred's table.
+            Some(p) => (Box::new(p.cbpred_policy(m.llc.sets(), m.llc.ways))
+                as Box<dyn atc_cache::policy::ReplacementPolicy>)
+                .into(),
+            None => cfg.llc_policy.build_impl(m.llc.sets(), m.llc.ways),
+        };
+        let mut llc = Cache::new(
+            "LLC",
+            m.llc.sets(),
+            m.llc.ways,
+            m.llc.latency,
+            m.llc.mshr_entries * cores,
+            policy,
+        )?;
+        if let Some(classes) = &cfg.probes.llc_recall {
+            llc.enable_recall_probe(Probes::CAP, classes);
+        }
+        Ok(Uncore {
+            llc,
+            dram: Dram::new(&m.dram),
+            ideal: cfg.ideal,
+        })
+    }
+
+    pub(crate) fn reset_stats(&mut self) {
+        self.llc.reset_stats();
+        self.dram.reset_stats();
+    }
+}
+
+/// What one access through the hierarchy did.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AccessOutcome {
+    /// Cycle the requester's data is ready (before the fill when an
+    /// ideal oracle answers early).
+    pub ready: u64,
+    /// Level that served the access.
+    pub served: MemLevel,
+}
+
+/// Walk `core`'s hierarchy from `start` for `info` arriving at `cycle`.
+/// Missed levels along the path are filled with the final ready time;
+/// ideal-oracle levels answer the requester early while the real miss
+/// still consumes bandwidth.
 pub(crate) fn access_path(
-    l1d: &mut Cache,
-    l2c: &mut Cache,
-    llc: &mut Cache,
-    dram: &mut Dram,
-    ideal: &IdealConfig,
+    core: &mut CoreCtx,
+    uncore: &mut Uncore,
     info: &AccessInfo,
     cycle: u64,
     start: MemLevel,
-) -> (u64, MemLevel) {
+) -> AccessOutcome {
+    let mut levels = [&mut core.l1d, &mut core.l2c, &mut uncore.llc];
     let mut t = cycle;
-    // At most three levels can miss; fixed inline buffers (level plus
-    // the set index and first empty way its probe computed) keep this
-    // per-access path allocation-free and let the fill below skip the
-    // set recomputation and the residency/empty-way rescans.
-    let mut missed = [(MemLevel::L1d, 0usize, None); 3];
-    let mut n_missed = 0usize;
+    // The set index and first empty way each missed level's probe
+    // computed: a fixed inline buffer keeps this per-access path
+    // allocation-free and lets the fill below skip the set
+    // recomputation and the residency/empty-way rescans.
+    let mut missed = [(0usize, None); 3];
     let mut oracle_ready: Option<u64> = None;
-    let mut outcome: Option<(u64, MemLevel)> = None;
+    let mut hit = None;
     // Hoisted once per access: with no oracle configured (the common
     // case), the per-level `applies` test is skipped entirely.
-    let ideal_active = ideal.any();
+    let ideal_active = uncore.ideal.any();
 
-    for level in [MemLevel::L1d, MemLevel::L2c, MemLevel::Llc] {
-        if level < start {
-            continue;
-        }
-        let cache: &mut Cache = match level {
-            MemLevel::L1d => &mut *l1d,
-            MemLevel::L2c => &mut *l2c,
-            MemLevel::Llc => &mut *llc,
-            MemLevel::Dram => unreachable!(),
-        };
+    for (i, cache) in levels.iter_mut().enumerate().skip(start.index()) {
         match cache.probe(info, t) {
-            Probe::Ready(r) => {
-                outcome = Some((r, level));
+            Probe::Ready(ready) => {
+                hit = Some(AccessOutcome {
+                    ready,
+                    served: MemLevel::ALL[i],
+                });
                 break;
             }
             Probe::Miss { set, empty } => {
-                if ideal_active && oracle_ready.is_none() && ideal.applies(level, info.class) {
+                if ideal_active
+                    && oracle_ready.is_none()
+                    && uncore.ideal.applies(MemLevel::ALL[i], info.class)
+                {
                     oracle_ready = Some(t + cache.latency());
                 }
-                missed[n_missed] = (level, set, empty);
-                n_missed += 1;
+                missed[i] = (set, empty);
                 t += cache.latency();
             }
         }
     }
 
-    let (ready, served) = outcome.unwrap_or_else(|| (dram.access(info.line, t), MemLevel::Dram));
-    for &(level, set, empty) in &missed[..n_missed] {
-        let cache: &mut Cache = match level {
-            MemLevel::L1d => &mut *l1d,
-            MemLevel::L2c => &mut *l2c,
-            MemLevel::Llc => &mut *llc,
-            MemLevel::Dram => unreachable!(),
-        };
-        let _ = cache.insert_miss_at(set, empty, info, ready, cycle);
+    let out = hit.unwrap_or_else(|| AccessOutcome {
+        ready: uncore.dram.access(info.line, t),
+        served: MemLevel::Dram,
+    });
+    // Every level from `start` to the one that served the access missed.
+    let filled = levels.iter_mut().zip(missed).take(out.served.index());
+    for (cache, (set, empty)) in filled.skip(start.index()) {
+        let _ = cache.insert_miss_at(set, empty, info, out.ready, cycle);
     }
-    match oracle_ready {
-        Some(o) => (o.min(ready), served),
-        None => (ready, served),
+    AccessOutcome {
+        ready: oracle_ready.map_or(out.ready, |o| o.min(out.ready)),
+        ..out
     }
 }
 
 /// Execute a page walk: play each PTE read through the caches, trigger
 /// ATP/TEMPO on the leaf read, install TLB/PSC entries. Returns the cycle
 /// the translation resolves.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn do_walk(
     core: &mut CoreCtx,
-    llc: &mut Cache,
-    dram: &mut Dram,
-    ideal: &IdealConfig,
+    uncore: &mut Uncore,
     ip: u64,
     plan: &WalkPlan,
     block_in_page: u64,
@@ -341,16 +359,7 @@ pub(crate) fn do_walk(
             step.pte_addr.line(),
             AccessClass::Translation(step.level),
         );
-        let (ready, served) = access_path(
-            &mut core.l1d,
-            &mut core.l2c,
-            llc,
-            dram,
-            ideal,
-            &info,
-            t,
-            MemLevel::L1d,
-        );
+        let AccessOutcome { ready, served } = access_path(core, uncore, &info, t, MemLevel::L1d);
         if step.level.is_leaf() {
             core.service_translation[served.index()] += 1;
             // ATP: leaf PTE hit at L2C/LLC → prefetch the replay block
@@ -362,16 +371,7 @@ pub(crate) fn do_walk(
                         MemLevel::L2c => MemLevel::L2c,
                         _ => MemLevel::Llc,
                     };
-                    let _ = access_path(
-                        &mut core.l1d,
-                        &mut core.l2c,
-                        llc,
-                        dram,
-                        ideal,
-                        &pf_info,
-                        ready,
-                        start,
-                    );
+                    access_path(core, uncore, &pf_info, ready, start);
                 }
             }
             // TEMPO: leaf PTE served by DRAM → the controller fetches the
@@ -380,8 +380,9 @@ pub(crate) fn do_walk(
                 if let Some(tempo) = &mut core.tempo {
                     let pf = tempo.on_leaf_pte_dram(plan.data_pfn, block_in_page);
                     let pf_info = AccessInfo::prefetch(ip, pf.line, AccessClass::ReplayData);
+                    let llc = &mut uncore.llc;
                     if !llc.contains(pf.line) && llc.mshr_merge(&pf_info, ready).is_none() {
-                        let dram_ready = dram.access(pf.line, ready);
+                        let dram_ready = uncore.dram.access(pf.line, ready);
                         let _ = llc.insert_miss(&pf_info, dram_ready, ready);
                     }
                 }
@@ -414,12 +415,9 @@ pub(crate) fn do_walk(
 
 /// Issue prefetch candidates produced by a prefetcher observing `core`'s
 /// demand stream.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn issue_prefetches(
     core: &mut CoreCtx,
-    llc: &mut Cache,
-    dram: &mut Dram,
-    ideal: &IdealConfig,
+    uncore: &mut Uncore,
     reqs: &[PrefetchRequest],
     ip: u64,
     cycle: u64,
@@ -432,16 +430,7 @@ pub(crate) fn issue_prefetches(
                     continue;
                 }
                 let info = AccessInfo::prefetch(ip, line, AccessClass::NonReplayData);
-                let _ = access_path(
-                    &mut core.l1d,
-                    &mut core.l2c,
-                    llc,
-                    dram,
-                    ideal,
-                    &info,
-                    cycle,
-                    MemLevel::L2c,
-                );
+                access_path(core, uncore, &info, cycle, MemLevel::L2c);
             }
             PrefetchRequest::Virt(va) => {
                 // Virtual prefetch must translate first; an STLB miss
@@ -474,16 +463,7 @@ pub(crate) fn issue_prefetches(
                     continue;
                 }
                 let info = AccessInfo::prefetch(ip, line, AccessClass::NonReplayData);
-                let _ = access_path(
-                    &mut core.l1d,
-                    &mut core.l2c,
-                    llc,
-                    dram,
-                    ideal,
-                    &info,
-                    cycle + delay,
-                    start,
-                );
+                access_path(core, uncore, &info, cycle + delay, start);
             }
         }
     }
@@ -500,12 +480,9 @@ pub(crate) fn issue_prefetches(
 ///
 /// Propagates [`SimError::Walk`] from the translation engine (a
 /// corrupted page-table path; unreachable with demand mapping).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_instr_opts(
     core: &mut CoreCtx,
-    llc: &mut Cache,
-    dram: &mut Dram,
-    ideal: &IdealConfig,
+    uncore: &mut Uncore,
     rob: &mut RobModel,
     instr: Instr,
     va_offset: u64,
@@ -540,16 +517,7 @@ pub(crate) fn exec_instr_opts(
         TranslationQuery::StlbHit(pfn) => (at + dtlb_lat + stlb_lat, pfn, false),
         TranslationQuery::Walk(plan) => {
             let walk_start = at + dtlb_lat + stlb_lat + psc_lat;
-            let done = do_walk(
-                core,
-                llc,
-                dram,
-                ideal,
-                ip,
-                &plan,
-                va.block_in_page(),
-                walk_start,
-            );
+            let done = do_walk(core, uncore, ip, &plan, va.block_in_page(), walk_start);
             (done, plan.data_pfn, true)
         }
     };
@@ -568,31 +536,23 @@ pub(crate) fn exec_instr_opts(
     // L1D prefetcher observes the demand stream (virtual addresses).
     // The residency pre-probe (a full set scan) only runs when a
     // prefetcher is attached — without one, nothing consumes it.
-    if core.l1_pf.is_some() {
-        let l1_hit_before = core.l1d.contains(line);
-        let pf = core.l1_pf.as_mut().expect("checked above");
+    if let Some(pf) = &mut core.l1_pf {
         let ctx = PrefetchContext {
             ip,
             line,
             vaddr: va,
-            hit: l1_hit_before,
+            hit: core.l1d.contains(line),
         };
         let reqs = pf.on_access(&ctx);
         if !reqs.is_empty() {
-            issue_prefetches(core, llc, dram, ideal, &reqs, ip, trans_done, true);
+            issue_prefetches(core, uncore, &reqs, ip, trans_done, true);
         }
     }
 
-    let (data_done, served) = access_path(
-        &mut core.l1d,
-        &mut core.l2c,
-        llc,
-        dram,
-        ideal,
-        &info,
-        trans_done,
-        MemLevel::L1d,
-    );
+    let AccessOutcome {
+        ready: data_done,
+        served,
+    } = access_path(core, uncore, &info, trans_done, MemLevel::L1d);
     if class == AccessClass::ReplayData {
         core.service_replay[served.index()] += 1;
     }
@@ -617,7 +577,7 @@ pub(crate) fn exec_instr_opts(
             };
             let reqs = pf.on_access(&ctx);
             if !reqs.is_empty() {
-                issue_prefetches(core, llc, dram, ideal, &reqs, ip, trans_done, false);
+                issue_prefetches(core, uncore, &reqs, ip, trans_done, false);
             }
         }
     }
@@ -641,7 +601,7 @@ pub(crate) fn exec_instr_opts(
 pub(crate) fn deadlock_diag(
     rob: &RobModel,
     core: &CoreCtx,
-    llc: &Cache,
+    uncore: &Uncore,
     last_progress_cycle: u64,
 ) -> DeadlockDiag {
     let now = rob.now();
@@ -654,7 +614,7 @@ pub(crate) fn deadlock_diag(
         mshr_outstanding: [
             core.l1d.mshr().outstanding_at(now),
             core.l2c.mshr().outstanding_at(now),
-            llc.mshr().outstanding_at(now),
+            uncore.llc.mshr().outstanding_at(now),
         ],
         walks_completed: core.mmu.walk_count(),
     }
@@ -800,15 +760,14 @@ impl From<SimError> for SimFailure {
 pub struct Machine {
     cfg: SimConfig,
     core: CoreCtx,
-    llc: Cache,
-    dram: Dram,
+    uncore: Uncore,
 }
 
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
             .field("l2c_policy", &self.core.l2c.policy_name())
-            .field("llc_policy", &self.llc.policy_name())
+            .field("llc_policy", &self.uncore.llc.policy_name())
             .finish_non_exhaustive()
     }
 }
@@ -823,12 +782,11 @@ impl Machine {
     pub fn new(cfg: &SimConfig) -> Result<Self, SimError> {
         cfg.machine.validate()?;
         let core = CoreCtx::new(cfg)?;
-        let llc = build_llc(cfg, core.dppred.as_ref(), 1)?;
+        let uncore = Uncore::new(cfg, core.dppred.as_ref(), 1)?;
         Ok(Machine {
             cfg: cfg.clone(),
             core,
-            llc,
-            dram: Dram::new(&cfg.machine.dram),
+            uncore,
         })
     }
 
@@ -881,8 +839,7 @@ impl Machine {
         let run = run_interleaved(
             &self.cfg,
             slice::from_mut(&mut self.core),
-            &mut self.llc,
-            &mut self.dram,
+            &mut self.uncore,
             &mut robs,
             &mut [wl],
             warmup,
@@ -912,58 +869,47 @@ impl Machine {
                 p.histogram().clone()
             })
         };
-        let dram_stats = self.dram.stats();
-        let telemetry = match self.core.telem.as_mut() {
-            Some(tm) => {
-                tm.ingest(
-                    &core_stats,
-                    &self.core.l1d,
-                    &self.core.l2c,
-                    &self.llc,
-                    self.core.mmu.dtlb().stats(),
-                    self.core.mmu.stlb().stats(),
-                    self.core.mmu.pscs().stats(),
-                    &dram_stats,
-                );
-                let (l1d, l2c, llc) = (&self.core.l1d, &self.core.l2c, &self.llc);
-                let resident = |line: u64| {
-                    let la = LineAddr::new(line);
-                    l1d.contains(la) || l2c.contains(la) || llc.contains(la)
-                };
-                Some(Box::new(tm.snapshot(resident, core_stats.cycles)))
-            }
-            None => None,
-        };
-        RunStats {
+        let (core, llc) = (&mut self.core, &mut self.uncore.llc);
+        let mut stats = RunStats {
             core: core_stats,
-            l1d: self.core.l1d.stats().clone(),
-            l2c: self.core.l2c.stats().clone(),
-            llc: self.llc.stats().clone(),
-            dtlb: self.core.mmu.dtlb().stats(),
-            stlb: self.core.mmu.stlb().stats(),
-            walks: self.core.mmu.walk_count(),
-            mapped_pages: self.core.mmu.page_table().mapped_pages(),
-            psc: self.core.mmu.pscs().stats(),
-            dram: dram_stats,
-            service_translation: self.core.service_translation,
-            service_replay: self.core.service_replay,
-            atp_issued: self.core.atp.as_ref().map_or(0, |a| a.issued()),
-            tempo_issued: self.core.tempo.as_ref().map_or(0, |t| t.issued()),
-            llc_prefetch: self.llc.prefetch_stats(),
-            l2c_prefetch: self.core.l2c.prefetch_stats(),
-            llc_replay_evictions: self.llc.eviction_stats_for(AccessClass::ReplayData),
-            l2c_pte_evictions: self.core.l2c.pte_eviction_stats(),
-            llc_pte_evictions: self.llc.pte_eviction_stats(),
-            l2c_recall: flush(self.core.l2c.recall_probe_mut()),
-            llc_recall: flush(self.llc.recall_probe_mut()),
-            stlb_recall: flush(self.core.mmu.stlb_mut().recall_probe_mut()),
-            telemetry,
+            l1d: core.l1d.stats().clone(),
+            l2c: core.l2c.stats().clone(),
+            llc: llc.stats().clone(),
+            dtlb: core.mmu.dtlb().stats(),
+            stlb: core.mmu.stlb().stats(),
+            walks: core.mmu.walk_count(),
+            mapped_pages: core.mmu.page_table().mapped_pages(),
+            psc: core.mmu.pscs().stats(),
+            dram: self.uncore.dram.stats(),
+            service_translation: core.service_translation,
+            service_replay: core.service_replay,
+            atp_issued: core.atp.as_ref().map_or(0, |a| a.issued()),
+            tempo_issued: core.tempo.as_ref().map_or(0, |t| t.issued()),
+            llc_prefetch: llc.prefetch_stats(),
+            l2c_prefetch: core.l2c.prefetch_stats(),
+            llc_replay_evictions: llc.eviction_stats_for(AccessClass::ReplayData),
+            l2c_pte_evictions: core.l2c.pte_eviction_stats(),
+            llc_pte_evictions: llc.pte_eviction_stats(),
+            l2c_recall: flush(core.l2c.recall_probe_mut()),
+            llc_recall: flush(llc.recall_probe_mut()),
+            stlb_recall: flush(core.mmu.stlb_mut().recall_probe_mut()),
+            telemetry: None,
+        };
+        if let Some(tm) = core.telem.as_mut() {
+            let (l1d, l2c) = (&core.l1d, &core.l2c);
+            tm.ingest(&stats, l1d, l2c, llc);
+            let resident = |line: u64| {
+                let la = LineAddr::new(line);
+                l1d.contains(la) || l2c.contains(la) || llc.contains(la)
+            };
+            stats.telemetry = Some(Box::new(tm.snapshot(resident, stats.core.cycles)));
         }
+        stats
     }
 
     /// The shared LLC (diagnostics).
     pub fn llc(&self) -> &Cache {
-        &self.llc
+        &self.uncore.llc
     }
 
     /// The private L2C (diagnostics).
@@ -1162,9 +1108,7 @@ mod tests {
         let before = m.core.mmu.page_table().mapped_pages();
         issue_prefetches(
             &mut m.core,
-            &mut m.llc,
-            &mut m.dram,
-            &IdealConfig::none(),
+            &mut m.uncore,
             &[PrefetchRequest::Virt(va)],
             0x400,
             0,
@@ -1182,9 +1126,7 @@ mod tests {
         m.core.mmu.page_table_mut().ensure_mapped(va.vpn());
         issue_prefetches(
             &mut m.core,
-            &mut m.llc,
-            &mut m.dram,
-            &IdealConfig::none(),
+            &mut m.uncore,
             &[PrefetchRequest::Virt(va)],
             0x400,
             0,

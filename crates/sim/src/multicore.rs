@@ -3,15 +3,12 @@
 //! 8-core evaluation (§V) — and the interleaved engine every topology
 //! runs on: the single-core machine, 2-way SMT and the shared multicore.
 
-use atc_cache::Cache;
 use atc_cpu::{CoreStats, RobModel};
-use atc_dram::Dram;
 use atc_types::{CancelToken, SimError};
 use atc_workloads::{Instr, Workload};
 
 use crate::machine::{
-    build_llc, deadlock_diag, exec_instr_opts, CoreCtx, SimConfig, CANCEL_POLL_INSTRS,
-    DEFAULT_BATCH,
+    deadlock_diag, exec_instr_opts, CoreCtx, SimConfig, Uncore, CANCEL_POLL_INSTRS, DEFAULT_BATCH,
 };
 
 /// Per-thread virtual-address-space offset (bit 47: above every workload
@@ -29,9 +26,9 @@ struct Thread {
 }
 
 /// The simulator's one run loop: thread `i` runs `wls[i]` on core
-/// `i % cores.len()` with ROB `robs[i]`, and every core shares `llc` and
-/// `dram` (built by the caller from `cfg`, already scaled for the core
-/// count). The single-core machine is the one-core, one-thread case.
+/// `i % cores.len()` with ROB `robs[i]`, and every core shares `uncore`
+/// (built by the caller from `cfg`, already scaled for the core count).
+/// The single-core machine is the one-core, one-thread case.
 ///
 /// Each step executes one instruction of the unfinished thread whose ROB
 /// clock lags most (lowest index on ties), which approximates
@@ -50,8 +47,7 @@ struct Thread {
 pub(crate) fn run_interleaved(
     cfg: &SimConfig,
     cores: &mut [CoreCtx],
-    llc: &mut Cache,
-    dram: &mut Dram,
+    uncore: &mut Uncore,
     robs: &mut [RobModel],
     wls: &mut [&mut dyn Workload],
     warmup: u64,
@@ -105,16 +101,14 @@ pub(crate) fn run_interleaved(
             let core = &mut cores[t.core];
             exec_instr_opts(
                 core,
-                llc,
-                dram,
-                &cfg.ideal,
+                uncore,
                 &mut robs[i],
                 instr,
                 i as u64 * THREAD_VA_STRIDE,
                 cfg.ignore_deps,
             )?;
             if robs[i].now().saturating_sub(before) > watchdog {
-                let diag = deadlock_diag(&robs[i], core, llc, before);
+                let diag = deadlock_diag(&robs[i], core, uncore, before);
                 return Err(SimError::Deadlock(Box::new(diag)));
             }
         }
@@ -122,8 +116,7 @@ pub(crate) fn run_interleaved(
             for c in cores.iter_mut() {
                 c.reset_stats();
             }
-            llc.reset_stats();
-            dram.reset_stats();
+            uncore.reset_stats();
             for r in robs.iter_mut() {
                 r.reset_measurement();
             }
@@ -132,7 +125,7 @@ pub(crate) fn run_interleaved(
     Ok(())
 }
 
-/// [`run_interleaved`] on a fresh shared LLC and DRAM and one ROB per
+/// [`run_interleaved`] on a fresh [`Uncore`] and one ROB per
 /// thread: the SMT and shared-multicore topologies. Returns each
 /// thread's measured statistics.
 pub(crate) fn run_shared(
@@ -143,14 +136,20 @@ pub(crate) fn run_shared(
     measure: u64,
     cancel: &CancelToken,
 ) -> Result<Vec<CoreStats>, SimError> {
-    let mut llc = build_llc(cfg, cores[0].dppred.as_ref(), cores.len())?;
-    let mut dram = Dram::new(&cfg.machine.dram);
+    let mut uncore = Uncore::new(cfg, cores[0].dppred.as_ref(), cores.len())?;
     let mut robs: Vec<RobModel> = wls
         .iter()
         .map(|_| RobModel::new(&cfg.machine.core))
         .collect();
     run_interleaved(
-        cfg, cores, &mut llc, &mut dram, &mut robs, wls, warmup, measure, cancel,
+        cfg,
+        cores,
+        &mut uncore,
+        &mut robs,
+        wls,
+        warmup,
+        measure,
+        cancel,
     )?;
     Ok(robs.into_iter().map(RobModel::finish).collect())
 }

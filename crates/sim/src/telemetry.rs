@@ -6,27 +6,30 @@
 //! labour:
 //!
 //! * **Hot path** (`on_walk_complete`, `on_replay_fill`,
-//!   `on_demand_access`): pre-registered counter/histogram handles and a
-//!   fixed-capacity open-span table — no allocation, no name lookups.
-//!   When no telemetry is attached the simulator skips these calls
-//!   entirely (`Option::is_none`), so the detached cost is one branch.
-//! * **Snapshot time** (`ingest`, `snapshot`): counters that other
-//!   components already accumulate (cache/TLB/PSC/DRAM statistics, stall
-//!   attribution) are copied in by name once per run.
+//!   `on_demand_access`): the walk and replay latency histograms and
+//!   span sampling, through pre-registered handles and a fixed-capacity
+//!   open-span table — no allocation, no name lookups. When no telemetry
+//!   is attached the simulator skips these calls entirely
+//!   (`Option::is_none`), so the detached cost is one branch.
+//! * **Snapshot time** (`ingest`, `snapshot`): every counter is copied
+//!   in by name once per run, from [`RunStats`] (walks and replays by
+//!   serving level, stall attribution, TLB/PSC/DRAM statistics) and from
+//!   the caches' own per-class counters. Nothing the run already counts
+//!   is counted a second time here.
 //!
 //! Span sampling is 1-in-N (`TelemetryConfig::span_sample_every`): every
-//! walk and replay updates the counters, but only each Nth is traced as
-//! a span, bounding both ring-buffer churn and open-replay tracking.
+//! walk and replay feeds its latency histogram, but only each Nth is
+//! traced as a span, bounding both ring-buffer churn and open-replay
+//! tracking.
 
 use atc_cache::Cache;
-use atc_cpu::CoreStats;
-use atc_dram::DramStats;
 use atc_obs::{
-    CounterId, HistId, Registry, ReplayOutcome, ReplaySpan, Sink, SpanTracer, TelemetrySnapshot,
-    WalkHop, WalkSpan, MAX_WALK_HOPS,
+    HistId, Registry, ReplayOutcome, ReplaySpan, SpanTracer, TelemetrySnapshot, WalkHop, WalkSpan,
+    MAX_WALK_HOPS,
 };
 use atc_types::{AccessClass, MemLevel, PtLevel};
-use atc_vm::tlb::TlbStats;
+
+use crate::machine::RunStats;
 
 /// Telemetry probe configuration (`Probes::telemetry`).
 #[derive(Debug, Clone)]
@@ -50,15 +53,47 @@ impl Default for TelemetryConfig {
 /// [`ReplayOutcome::Open`] when a new sample would exceed this.
 const OPEN_CAP: usize = 16;
 
-/// Pre-registered hot-path handles.
-#[derive(Debug, Clone, Copy)]
-struct HotIds {
-    walks: CounterId,
-    walk_leaf_served: [CounterId; 4],
-    replays: CounterId,
-    replay_served: [CounterId; 4],
-    walk_latency: HistId,
-    replay_latency: HistId,
+/// `[concat!(prefix, key), ..]`: one `&'static str` counter name per key.
+macro_rules! names {
+    ($prefix:expr, [$($key:literal),* $(,)?]) => {
+        [$(concat!($prefix, $key)),*]
+    };
+}
+
+/// Per-serving-level counter names, indexed by [`MemLevel::index`].
+const WALK_LEAF_SERVED: [&str; 4] = names!("walk.leaf_served.", ["l1d", "l2c", "llc", "dram"]);
+const REPLAY_SERVED: [&str; 4] = names!("replay.served.", ["l1d", "l2c", "llc", "dram"]);
+
+/// Snapshot-time counter names for the cache level `$lvl`, in the order
+/// [`SimTelemetry::ingest_cache`] yields their values. Groups follow the
+/// paper's taxonomy: translation = PTE reads at any level, replay =
+/// replay loads, regular = everything else demand, prefetch separate.
+macro_rules! cache_names {
+    ($lvl:literal) => {
+        names!(
+            concat!($lvl, "."),
+            [
+                "hits.translation",
+                "hits.replay",
+                "hits.regular",
+                "misses.translation",
+                "misses.replay",
+                "misses.regular",
+                "fills.translation",
+                "fills.replay",
+                "fills.regular",
+                "fills.prefetch",
+                "evict.dead",
+                "evict.total",
+                "pte_evict.dead",
+                "pte_evict.total",
+                "pte_evicted_by.translation",
+                "pte_evicted_by.replay",
+                "pte_evicted_by.regular",
+                "pte_evicted_by.prefetch",
+            ]
+        )
+    };
 }
 
 /// Per-core telemetry state (see the module docs).
@@ -70,50 +105,40 @@ pub(crate) struct SimTelemetry {
     walk_seq: u64,
     replay_seq: u64,
     open: Vec<ReplaySpan>,
-    ids: HotIds,
+    walk_latency: HistId,
+    replay_latency: HistId,
 }
 
 impl SimTelemetry {
     pub(crate) fn new(cfg: &TelemetryConfig) -> Self {
         let mut reg = Registry::new();
-        let ids = HotIds {
-            walks: reg.counter("walk.count"),
-            walk_leaf_served: [
-                reg.counter("walk.leaf_served.l1d"),
-                reg.counter("walk.leaf_served.l2c"),
-                reg.counter("walk.leaf_served.llc"),
-                reg.counter("walk.leaf_served.dram"),
-            ],
-            replays: reg.counter("replay.count"),
-            replay_served: [
-                reg.counter("replay.served.l1d"),
-                reg.counter("replay.served.l2c"),
-                reg.counter("replay.served.llc"),
-                reg.counter("replay.served.dram"),
-            ],
+        // Registered first so the walk and replay counters lead the
+        // snapshot; `ingest` sets them from `RunStats`.
+        for name in ["walk.count"]
+            .into_iter()
+            .chain(WALK_LEAF_SERVED)
+            .chain(["replay.count"])
+            .chain(REPLAY_SERVED)
+        {
+            reg.counter(name);
+        }
+        SimTelemetry {
             walk_latency: reg.histogram("walk.latency_cycles"),
             replay_latency: reg.histogram("replay.latency_cycles"),
-        };
-        SimTelemetry {
             reg,
             tracer: SpanTracer::new(cfg.span_capacity),
             sample_every: cfg.span_sample_every.max(1),
             walk_seq: 0,
             replay_seq: 0,
             open: Vec::with_capacity(OPEN_CAP),
-            ids,
         }
     }
 
     /// A page walk finished: `hops` holds one entry per PTE read, leaf
     /// last.
     pub(crate) fn on_walk_complete(&mut self, start: u64, end: u64, hops: &[WalkHop]) {
-        self.reg.inc(self.ids.walks);
-        if let Some(leaf) = hops.last() {
-            self.reg.inc(self.ids.walk_leaf_served[leaf.served.index()]);
-        }
         self.reg
-            .observe(self.ids.walk_latency, end.saturating_sub(start));
+            .observe(self.walk_latency, end.saturating_sub(start));
         self.walk_seq += 1;
         if self.walk_seq.is_multiple_of(self.sample_every) {
             let n = hops.len().min(MAX_WALK_HOPS);
@@ -162,10 +187,8 @@ impl SimTelemetry {
         fill_done: u64,
         served: MemLevel,
     ) {
-        self.reg.inc(self.ids.replays);
-        self.reg.inc(self.ids.replay_served[served.index()]);
         self.reg
-            .observe(self.ids.replay_latency, fill_done.saturating_sub(walk_done));
+            .observe(self.replay_latency, fill_done.saturating_sub(walk_done));
         self.replay_seq += 1;
         if self.replay_seq.is_multiple_of(self.sample_every) {
             if self.open.len() == OPEN_CAP {
@@ -197,95 +220,68 @@ impl SimTelemetry {
         self.reg.set(id, v);
     }
 
-    fn ingest_cache(&mut self, names: &CacheNames, c: &Cache) {
-        let s = c.stats().clone();
-        let leaf = AccessClass::Translation(PtLevel::L1);
-        let upper = AccessClass::Translation(PtLevel::L2);
-        let hits_t = s.hits(leaf) + s.hits(upper);
-        let miss_t = s.misses(leaf) + s.misses(upper);
-        let regular = [
-            AccessClass::NonReplayData,
-            AccessClass::Store,
-            AccessClass::Instruction,
-        ];
-        let hits_reg: u64 = regular.iter().map(|&cl| s.hits(cl)).sum();
-        let miss_reg: u64 = regular.iter().map(|&cl| s.misses(cl)).sum();
-        self.set(names.hits[0], hits_t);
-        self.set(names.hits[1], s.hits(AccessClass::ReplayData));
-        self.set(names.hits[2], hits_reg);
-        self.set(names.misses[0], miss_t);
-        self.set(names.misses[1], s.misses(AccessClass::ReplayData));
-        self.set(names.misses[2], miss_reg);
-
-        let fills = *c.fills_by_class();
-        let reg_idx = [
-            AccessClass::NonReplayData.stat_index(),
-            AccessClass::Store.stat_index(),
-            AccessClass::Instruction.stat_index(),
-        ];
-        self.set(
-            names.fills[0],
-            fills[leaf.stat_index()] + fills[upper.stat_index()],
-        );
-        self.set(names.fills[1], fills[AccessClass::ReplayData.stat_index()]);
-        self.set(names.fills[2], reg_idx.iter().map(|&i| fills[i]).sum());
-        self.set(names.fills[3], c.prefetch_stats().0);
-
+    /// Copy `c`'s per-class counters in under `names` (a
+    /// [`cache_names!`] list).
+    fn ingest_cache(&mut self, names: &[&'static str; 18], c: &Cache) {
+        let s = c.stats();
+        let (fills, by) = (c.fills_by_class(), c.translation_evicted_by());
+        // Sum a per-class value over the taxonomy's three demand groups.
+        let groups = |f: &dyn Fn(AccessClass) -> u64| {
+            let regular = [
+                AccessClass::NonReplayData,
+                AccessClass::Store,
+                AccessClass::Instruction,
+            ];
+            [
+                f(AccessClass::Translation(PtLevel::L1)) + f(AccessClass::Translation(PtLevel::L2)),
+                f(AccessClass::ReplayData),
+                regular.into_iter().map(f).sum(),
+            ]
+        };
         let (dead, total) = c.eviction_stats();
-        self.set(names.evict_dead, dead);
-        self.set(names.evict_total, total);
         let (pte_dead, pte_total) = c.pte_eviction_stats();
-        self.set(names.pte_evict_dead, pte_dead);
-        self.set(names.pte_evict_total, pte_total);
-
-        let by = *c.translation_evicted_by();
-        self.set(
-            names.pte_evicted_by[0],
-            by[leaf.stat_index()] + by[upper.stat_index()],
-        );
-        self.set(
-            names.pte_evicted_by[1],
-            by[AccessClass::ReplayData.stat_index()],
-        );
-        self.set(
-            names.pte_evicted_by[2],
-            reg_idx.iter().map(|&i| by[i]).sum(),
-        );
-        self.set(names.pte_evicted_by[3], by[Cache::PREFETCH_EVICTOR]);
+        let values = groups(&|cl| s.hits(cl))
+            .into_iter()
+            .chain(groups(&|cl| s.misses(cl)))
+            .chain(groups(&|cl| fills[cl.stat_index()]))
+            .chain([c.prefetch_stats().0, dead, total, pte_dead, pte_total])
+            .chain(groups(&|cl| by[cl.stat_index()]))
+            .chain([by[Cache::PREFETCH_EVICTOR]]);
+        for (name, v) in names.iter().zip(values) {
+            self.set(name, v);
+        }
     }
 
-    /// Copy component-accumulated statistics into the registry. Called
-    /// once, from `Machine::collect`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn ingest(
-        &mut self,
-        core: &CoreStats,
-        l1d: &Cache,
-        l2c: &Cache,
-        llc: &Cache,
-        dtlb: TlbStats,
-        stlb: TlbStats,
-        psc: (u64, u64),
-        dram: &DramStats,
-    ) {
+    /// Copy the run's statistics into the registry. Called once, from
+    /// `Machine::collect`.
+    pub(crate) fn ingest(&mut self, s: &RunStats, l1d: &Cache, l2c: &Cache, llc: &Cache) {
+        self.set("walk.count", s.walks);
+        for (name, v) in WALK_LEAF_SERVED.into_iter().zip(s.service_translation) {
+            self.set(name, v);
+        }
+        self.set("replay.count", s.service_replay.iter().sum());
+        for (name, v) in REPLAY_SERVED.into_iter().zip(s.service_replay) {
+            self.set(name, v);
+        }
+        let core = &s.core;
         self.set("core.instructions", core.instructions);
         self.set("core.cycles", core.cycles);
         self.set("stall.translation_cycles", core.stalls.stlb_walk);
         self.set("stall.replay_cycles", core.stalls.replay_data);
         self.set("stall.regular_cycles", core.stalls.non_replay_data);
         self.set("stall.other_cycles", core.stalls.other);
-        self.ingest_cache(&L1D_NAMES, l1d);
-        self.ingest_cache(&L2C_NAMES, l2c);
-        self.ingest_cache(&LLC_NAMES, llc);
-        self.set("tlb.dtlb.hits", dtlb.hits);
-        self.set("tlb.dtlb.misses", dtlb.misses);
-        self.set("tlb.stlb.hits", stlb.hits);
-        self.set("tlb.stlb.misses", stlb.misses);
-        self.set("psc.hits", psc.0);
-        self.set("psc.misses", psc.1);
-        self.set("dram.requests", dram.requests);
-        self.set("dram.row_hits", dram.row_hits);
-        self.set("dram.row_misses", dram.row_misses);
+        self.ingest_cache(&cache_names!("l1d"), l1d);
+        self.ingest_cache(&cache_names!("l2c"), l2c);
+        self.ingest_cache(&cache_names!("llc"), llc);
+        self.set("tlb.dtlb.hits", s.dtlb.hits);
+        self.set("tlb.dtlb.misses", s.dtlb.misses);
+        self.set("tlb.stlb.hits", s.stlb.hits);
+        self.set("tlb.stlb.misses", s.stlb.misses);
+        self.set("psc.hits", s.psc.0);
+        self.set("psc.misses", s.psc.1);
+        self.set("dram.requests", s.dram.requests);
+        self.set("dram.row_hits", s.dram.row_hits);
+        self.set("dram.row_misses", s.dram.row_misses);
     }
 
     /// Close out open replay samples (`resident` says whether a line is
@@ -318,107 +314,6 @@ impl SimTelemetry {
     }
 }
 
-/// Snapshot-time counter names for one cache level (groups follow the
-/// paper's taxonomy: translation = PTE reads at any level, replay =
-/// replay loads, regular = everything else demand, prefetch separate).
-struct CacheNames {
-    hits: [&'static str; 3],
-    misses: [&'static str; 3],
-    fills: [&'static str; 4],
-    evict_dead: &'static str,
-    evict_total: &'static str,
-    pte_evict_dead: &'static str,
-    pte_evict_total: &'static str,
-    pte_evicted_by: [&'static str; 4],
-}
-
-const L1D_NAMES: CacheNames = CacheNames {
-    hits: [
-        "l1d.hits.translation",
-        "l1d.hits.replay",
-        "l1d.hits.regular",
-    ],
-    misses: [
-        "l1d.misses.translation",
-        "l1d.misses.replay",
-        "l1d.misses.regular",
-    ],
-    fills: [
-        "l1d.fills.translation",
-        "l1d.fills.replay",
-        "l1d.fills.regular",
-        "l1d.fills.prefetch",
-    ],
-    evict_dead: "l1d.evict.dead",
-    evict_total: "l1d.evict.total",
-    pte_evict_dead: "l1d.pte_evict.dead",
-    pte_evict_total: "l1d.pte_evict.total",
-    pte_evicted_by: [
-        "l1d.pte_evicted_by.translation",
-        "l1d.pte_evicted_by.replay",
-        "l1d.pte_evicted_by.regular",
-        "l1d.pte_evicted_by.prefetch",
-    ],
-};
-
-const L2C_NAMES: CacheNames = CacheNames {
-    hits: [
-        "l2c.hits.translation",
-        "l2c.hits.replay",
-        "l2c.hits.regular",
-    ],
-    misses: [
-        "l2c.misses.translation",
-        "l2c.misses.replay",
-        "l2c.misses.regular",
-    ],
-    fills: [
-        "l2c.fills.translation",
-        "l2c.fills.replay",
-        "l2c.fills.regular",
-        "l2c.fills.prefetch",
-    ],
-    evict_dead: "l2c.evict.dead",
-    evict_total: "l2c.evict.total",
-    pte_evict_dead: "l2c.pte_evict.dead",
-    pte_evict_total: "l2c.pte_evict.total",
-    pte_evicted_by: [
-        "l2c.pte_evicted_by.translation",
-        "l2c.pte_evicted_by.replay",
-        "l2c.pte_evicted_by.regular",
-        "l2c.pte_evicted_by.prefetch",
-    ],
-};
-
-const LLC_NAMES: CacheNames = CacheNames {
-    hits: [
-        "llc.hits.translation",
-        "llc.hits.replay",
-        "llc.hits.regular",
-    ],
-    misses: [
-        "llc.misses.translation",
-        "llc.misses.replay",
-        "llc.misses.regular",
-    ],
-    fills: [
-        "llc.fills.translation",
-        "llc.fills.replay",
-        "llc.fills.regular",
-        "llc.fills.prefetch",
-    ],
-    evict_dead: "llc.evict.dead",
-    evict_total: "llc.evict.total",
-    pte_evict_dead: "llc.pte_evict.dead",
-    pte_evict_total: "llc.pte_evict.total",
-    pte_evicted_by: [
-        "llc.pte_evicted_by.translation",
-        "llc.pte_evicted_by.replay",
-        "llc.pte_evicted_by.regular",
-        "llc.pte_evicted_by.prefetch",
-    ],
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,8 +339,6 @@ mod tests {
         for i in 0..8u64 {
             t.on_walk_complete(i * 100, i * 100 + 30, &[hop(MemLevel::L2c)]);
         }
-        assert_eq!(t.reg.counter_value("walk.count"), Some(8));
-        assert_eq!(t.reg.counter_value("walk.leaf_served.l2c"), Some(8));
         assert_eq!(
             t.reg
                 .histogram_by_name("walk.latency_cycles")
@@ -468,8 +361,7 @@ mod tests {
         let s = snap.replay_spans[0];
         assert_eq!(s.outcome, ReplayOutcome::Reused);
         assert_eq!(s.outcome_cycle, 300);
-        assert_eq!(snap.counter("replay.count"), Some(1));
-        assert_eq!(snap.counter("replay.served.dram"), Some(1));
+        assert_eq!(snap.histogram("replay.latency_cycles").unwrap().count(), 1);
     }
 
     #[test]
@@ -505,7 +397,7 @@ mod tests {
         t.on_replay_fill(0x40, 100, 150, MemLevel::Dram);
         t.on_demand_access(0x40, 300, MemLevel::L1d);
         let snap = t.snapshot(|_| true, 1_000);
-        assert_eq!(snap.counter("replay.count"), Some(1));
+        assert_eq!(snap.histogram("replay.latency_cycles").unwrap().count(), 1);
         assert!(snap.replay_spans.is_empty());
     }
 
@@ -528,7 +420,8 @@ mod tests {
         t.on_replay_fill(0x40, 0, 60, MemLevel::Dram);
         t.reset();
         let snap = t.snapshot(|_| true, 0);
-        assert_eq!(snap.counter("walk.count"), Some(0));
+        assert_eq!(snap.histogram("walk.latency_cycles").unwrap().count(), 0);
+        assert_eq!(snap.histogram("replay.latency_cycles").unwrap().count(), 0);
         assert!(snap.walk_spans.is_empty() && snap.replay_spans.is_empty());
     }
 }
