@@ -22,6 +22,10 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo doc -D warnings"
+# Broken, private and redundant intra-doc links fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> bench smoke (sim_throughput --json BENCH_sim.json)"
 # cargo runs bench binaries with cwd = the package root, so pass an
 # absolute path to land the trajectory file at the repo root.
@@ -65,11 +69,11 @@ $SUITE $SUITE_FLAGS --jobs 4 --manifest target/ci-suite.jsonl --check \
     > target/ci-suite.out 2> target/ci-suite.err
 
 echo "==> trace footprint (suite smoke stderr)"
-# The captured streams and their bytes are a deterministic function of
-# the catalog and the trace layout (12 B per record plus 4 B per
-# 64-record block), so this exact line gates trace-memory regressions
-# without timing noise.
-grep -Fx "suite: 59 instruction streams captured (55.0 MiB shared)" \
+# The captured streams and the bytes they hold are a deterministic
+# function of the catalog and the trace layout (a 1 B head per record,
+# 8 B per memory record and 8 B per 64-record block; DESIGN.md §8), so
+# this exact line gates trace-memory regressions without timing noise.
+grep -Fx "suite: 59 instruction streams captured (21.8 MiB shared)" \
     target/ci-suite.err
 
 echo "==> small-scale suite byte-identity (golden stdout)"
@@ -88,7 +92,7 @@ echo "==> default-budget suite (every paper claim)"
 # The default budget (--scale small, 200k warmup + 2M measured) reaches
 # every claim's class, so this run evaluates all of them, the expected
 # divergences D1/D2/D4/D5 included, and fails if any no longer holds.
-# About 90-115 s and 490-580 MiB peak RSS on the 2-vCPU development host.
+# About 90-115 s and 460-560 MiB peak RSS on the 2-vCPU development host.
 rm -f target/ci-full.jsonl
 $SUITE --jobs 2 --manifest target/ci-full.jsonl --check > /dev/null
 

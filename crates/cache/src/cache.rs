@@ -1,7 +1,7 @@
 //! The set-associative cache core.
 //!
 //! [`Cache`] stores tags/state and delegates replacement to a
-//! [`ReplacementPolicy`](crate::policy::ReplacementPolicy). Timing is
+//! [`ReplacementPolicy`]. Timing is
 //! call-based: lookups and fills carry the current cycle, and the MSHR
 //! file keeps in-flight misses visible so later requests merge with them.
 //!
@@ -11,7 +11,7 @@
 //! per-way scan is the hottest loop in the simulator. Tags and line
 //! metadata are stored in *split parallel arrays*:
 //!
-//! * `tags: Vec<u64>` — one word per way, [`EMPTY_TAG`] (`u64::MAX`)
+//! * `tags: Vec<u64>` — one word per way, `EMPTY_TAG` (`u64::MAX`)
 //!   marking an invalid way. A set's ways are contiguous, so a lookup
 //!   scans `ways × 8` bytes of one or two cache lines with no `Option`
 //!   discriminant and no pointer chasing.

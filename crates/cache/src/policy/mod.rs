@@ -45,7 +45,7 @@ pub trait ReplacementPolicy: std::fmt::Debug + Send {
     /// aging).
     fn victim(&mut self, set: usize, info: &AccessInfo) -> usize;
 
-    /// The block at `(set, way)` has been evicted (after [`victim`] or an
+    /// The block at `(set, way)` has been evicted (after [`victim`](Self::victim) or an
     /// external invalidation). Policies use this for negative training.
     fn on_evict(&mut self, set: usize, way: usize);
 }

@@ -1,5 +1,5 @@
 //! Table I: the simulated machine parameters (the defaults baked into
-//! [`MachineConfig`](atc_types::config::MachineConfig)).
+//! [`MachineConfig`]).
 
 use atc_experiments::Opts;
 use atc_stats::table::Table;

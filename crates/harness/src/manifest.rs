@@ -456,7 +456,7 @@ impl Manifest {
     }
 
     /// Record into `log`, on the manifest's own track
-    /// ([`MANIFEST_WORKER`](crate::events::MANIFEST_WORKER)), what
+    /// ([`MANIFEST_WORKER`]), what
     /// [`open`](Self::open) repaired — one [`JobEventKind::Recover`]
     /// event per damage category (corrupt lines, superseded duplicates,
     /// a truncated torn tail), keyed by the path — and from then on

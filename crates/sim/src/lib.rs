@@ -3,7 +3,7 @@
 
 //! The full-system trace-driven simulator.
 //!
-//! [`Machine`](machine::Machine) wires together the out-of-order core
+//! [`Machine`] wires together the out-of-order core
 //! model (`atc-cpu`), the translation engine (`atc-vm`: DTLB, STLB, PSCs,
 //! five-level page table and walker), a three-level data-cache hierarchy
 //! with pluggable replacement (`atc-cache`), data prefetchers

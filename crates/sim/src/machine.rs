@@ -64,6 +64,14 @@ pub struct Probes {
 impl Probes {
     /// Recall-distance cap (distances beyond it count as overflow).
     pub const CAP: usize = 200;
+
+    /// True when any probe is attached.
+    pub(crate) fn any(&self) -> bool {
+        self.l2c_recall.is_some()
+            || self.llc_recall.is_some()
+            || self.stlb_recall
+            || self.telemetry.is_some()
+    }
 }
 
 /// Full simulator configuration: machine + policies + enhancements.

@@ -125,6 +125,18 @@ pub(crate) fn run_interleaved(
     Ok(())
 }
 
+/// Probes report through [`RunStats`](crate::RunStats), which only a
+/// single-core run returns, so a shared topology refuses them rather
+/// than run them and drop their output.
+pub(crate) fn reject_probes(cfg: &SimConfig, topology: &str) -> Result<(), SimError> {
+    if cfg.probes.any() {
+        return Err(SimError::config(format!(
+            "{topology}: recall and telemetry probes need a single-core run"
+        )));
+    }
+    Ok(())
+}
+
 /// [`run_interleaved`] on a fresh [`Uncore`] and one ROB per
 /// thread: the SMT and shared-multicore topologies. Returns each
 /// thread's measured statistics.
@@ -162,8 +174,9 @@ pub(crate) fn run_shared(
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Config`] when `workloads` is empty or the scaled
-/// machine configuration is invalid, [`SimError::Deadlock`] if any
+/// Returns [`SimError::Config`] when `workloads` is empty, `cfg`
+/// attaches any [`Probes`](crate::Probes), or the scaled machine
+/// configuration is invalid, [`SimError::Deadlock`] if any
 /// core's clock stops making forward progress (see
 /// [`SimConfig::watchdog_cycles`]), and [`SimError::Cancelled`] once the
 /// token is observed cancelled.
@@ -177,6 +190,7 @@ pub fn run_multicore(
     if workloads.is_empty() {
         return Err(SimError::config("multicore: need at least one workload"));
     }
+    reject_probes(cfg, "multicore")?;
     let n = workloads.len();
     let mut mcfg = cfg.clone();
     mcfg.machine = mcfg.machine.with_llc_scaled_for_cores(n);
@@ -196,7 +210,7 @@ pub fn run_multicore(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Machine;
+    use crate::{run_smt, Machine, Probes, TelemetryConfig};
     use atc_workloads::{BenchmarkId, Scale};
 
     #[test]
@@ -240,5 +254,51 @@ mod tests {
         let mut wls: Vec<Box<dyn Workload>> = Vec::new();
         let err = run_multicore(&cfg, &mut wls, 100, 100, &CancelToken::new()).unwrap_err();
         assert!(matches!(err, SimError::Config(_)), "{err}");
+    }
+
+    /// One configuration per kind of probe.
+    fn probed_configs() -> [SimConfig; 4] {
+        [
+            Probes {
+                l2c_recall: Some(Vec::new()),
+                ..Probes::default()
+            },
+            Probes {
+                llc_recall: Some(Vec::new()),
+                ..Probes::default()
+            },
+            Probes {
+                stlb_recall: true,
+                ..Probes::default()
+            },
+            Probes {
+                telemetry: Some(TelemetryConfig::default()),
+                ..Probes::default()
+            },
+        ]
+        .map(|probes| SimConfig {
+            probes,
+            ..SimConfig::baseline()
+        })
+    }
+
+    #[test]
+    fn multicore_refuses_probes() {
+        for cfg in probed_configs() {
+            let mut wls: Vec<Box<dyn Workload>> = vec![BenchmarkId::Mcf.build(Scale::Test, 1)];
+            let err = run_multicore(&cfg, &mut wls, 100, 100, &CancelToken::new()).unwrap_err();
+            assert!(matches!(err, SimError::Config(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn smt_refuses_probes() {
+        for cfg in probed_configs() {
+            let mut a = BenchmarkId::Mcf.build(Scale::Test, 1);
+            let mut b = BenchmarkId::Pr.build(Scale::Test, 2);
+            let err =
+                run_smt(&cfg, a.as_mut(), b.as_mut(), 100, 100, &CancelToken::new()).unwrap_err();
+            assert!(matches!(err, SimError::Config(_)), "{err}");
+        }
     }
 }

@@ -11,7 +11,7 @@ use atc_types::{CancelToken, SimError};
 use atc_workloads::Workload;
 
 use crate::machine::{CoreCtx, SimConfig};
-use crate::multicore::run_shared;
+use crate::multicore::{reject_probes, run_shared};
 
 /// Result of an SMT run: per-thread measured statistics.
 #[derive(Debug, Clone)]
@@ -28,7 +28,8 @@ pub struct SmtStats {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Config`] for an invalid machine configuration,
+/// Returns [`SimError::Config`] for an invalid machine configuration or
+/// a `cfg` that attaches any [`Probes`](crate::Probes),
 /// [`SimError::Deadlock`] if either thread's clock stops making forward
 /// progress (see [`SimConfig::watchdog_cycles`]), and
 /// [`SimError::Cancelled`] once the token is observed cancelled.
@@ -40,6 +41,7 @@ pub fn run_smt(
     measure: u64,
     cancel: &CancelToken,
 ) -> Result<SmtStats, SimError> {
+    reject_probes(cfg, "smt")?;
     cfg.machine.validate()?;
     let mut core = [CoreCtx::new(cfg)?];
     let stats = run_shared(cfg, &mut core, &mut [wl0, wl1], warmup, measure, cancel)?;

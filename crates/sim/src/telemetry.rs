@@ -1,7 +1,7 @@
 //! Simulator-side telemetry: what to count, when to sample, and how to
 //! snapshot.
 //!
-//! [`SimTelemetry`] owns an `atc-obs` [`Registry`] and [`SpanTracer`]
+//! `SimTelemetry` owns an `atc-obs` [`Registry`] and [`SpanTracer`]
 //! and is attached per core via `Probes::telemetry`. The division of
 //! labour:
 //!

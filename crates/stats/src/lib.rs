@@ -3,7 +3,7 @@
 
 //! Statistics and measurement infrastructure for the ATC simulator.
 //!
-//! * [`ClassCounters`] — per-[`AccessClass`](atc_types::AccessClass)
+//! * [`ClassCounters`] — per-[`AccessClass`]
 //!   access/hit/miss counters with MPKI helpers, attached to every cache
 //!   and TLB.
 //! * [`Histogram`] — fixed-bucket histogram used for stall-cycle and

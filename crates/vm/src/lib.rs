@@ -6,7 +6,7 @@
 //! walker.
 //!
 //! The cache hierarchy is *not* in this crate: page-walk reads are
-//! expressed as [`WalkStep`](walker::WalkStep)s carrying the physical
+//! expressed as [`WalkStep`]s carrying the physical
 //! address of each PTE block, and the simulator plays those reads through
 //! the data caches — exactly how the paper's machine caches "eight
 //! contiguous translations of all the page table levels" in 64-byte

@@ -28,19 +28,28 @@
 //! trace keeps:
 //!
 //! * a table of its distinct IPs, in first-seen order;
-//! * one `u32` head per record: bit 31 marks a memory op, the low bits
+//! * one `u8` head per record: bit 7 marks a memory op, the low 7 bits
 //!   index the IP table;
+//! * the full `u32` table index of each record whose head holds the
+//!   escape value 127, in order: the IPs past the first 127 a stream
+//!   meets (no generator has more than a dozen);
 //! * the `packed_addr` word of each memory record only, in order;
-//! * the count of memory records before each 64-record block, so
-//!   [`Trace::get`] finds a payload in O(1).
+//! * before each 64-record block, the count of memory records and of
+//!   escaped records, so [`Trace::get`] finds a record's payload and IP
+//!   in O(64).
 //!
 //! [`capture`] reserves a payload slot for every record up front, so it
-//! never reallocates; the slots of non-memory records are never written,
-//! so their pages need not become resident. [`TraceReplay`] walks the
-//! heads in order with a payload cursor beside its position, so
-//! sequential decode never consults the block counts. The file format
+//! never reallocates, and then keeps an exact-length copy of the
+//! payloads and frees the reservation. The unwritten slots of a
+//! reservation do become resident once the allocator hands out reused
+//! heap, so a kept reservation costs its full size: over repeated
+//! regenerations of the whole catalog, one-byte heads alone peaked at
+//! 64–67 MiB and with the copy at 46–50 MiB (EXPERIMENTS.md).
+//! [`TraceReplay`] walks the heads in order with a payload cursor and
+//! an escape cursor beside its position, so sequential decode never
+//! consults the block counts. The file format
 //! above is unchanged by this layout: [`Trace::to_writer`] rebuilds each
-//! 16-byte record from its head and payload.
+//! 16-byte record from its head, escape and payload.
 //!
 //! # Example
 //!
@@ -80,29 +89,49 @@ const RESERVED_MASK: u64 = !(FLAG_MEM | FLAG_STORE | FLAG_DEP | ADDR_MASK);
 /// truncated body is even read.
 const PREALLOC_CAP: usize = 1 << 20;
 
-/// Head bit marking a memory record; the low 31 bits index the IP table.
-const HEAD_MEM: u32 = 1 << 31;
-/// Most records a [`Trace`] holds, so every IP index fits a head and
-/// every memory-record count a `u32`.
-const MAX_RECORDS: usize = HEAD_MEM as usize;
-/// Records per block of the memory-record count index.
+/// Head bit marking a memory record.
+const HEAD_MEM: u8 = 1 << 7;
+/// Head bits holding the IP-table index.
+const HEAD_IP: u8 = HEAD_MEM - 1;
+/// Head IP value whose table index is the record's entry in the escape
+/// list; every lower value is the index itself.
+const ESCAPE: u8 = HEAD_IP;
+/// Most records a [`Trace`] holds, so every IP index and every block
+/// count fits a `u32`.
+const MAX_RECORDS: usize = 1 << 31;
+/// Records per block of the block counts.
 const BLOCK: usize = 64;
 /// Slots in [`IpTable`]'s direct-mapped memo.
 const MEMO_SLOTS: usize = 64;
-/// Memo slot holding no IP (a real index is below [`HEAD_MEM`]).
+/// Memo slot holding no IP (a real index is below [`MAX_RECORDS`]).
 const MEMO_EMPTY: u32 = u32::MAX;
 
 /// A captured instruction trace (see the module docs for its layout).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     ips: IpTable,
-    /// One head per record: [`HEAD_MEM`] | index into `ips`.
-    heads: Vec<u32>,
+    /// One head per record: [`HEAD_MEM`] | index into `ips`, or
+    /// [`ESCAPE`] for an index held in `escapes`.
+    heads: Vec<u8>,
+    /// The `ips` index of each escaped record.
+    escapes: Vec<u32>,
     /// The packed address/flag word of each memory record.
     payloads: Vec<u64>,
-    /// `blocks[b]` counts the memory records in `heads[..b * BLOCK]`.
-    blocks: Vec<u32>,
+    /// `blocks[b]` is the cursor at record `b * BLOCK`.
+    blocks: Vec<Block>,
 }
+
+/// Where a record's side data starts: the index of its payload (if it
+/// is a memory record) and of its escape (if its head is [`ESCAPE`]).
+/// Stored at every block start, and advanced by sequential decode.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Cursor<T> {
+    pay: T,
+    esc: T,
+}
+
+/// A block start's [`Cursor`], in `u32`s to halve its footprint.
+type Block = Cursor<u32>;
 
 /// A trace's distinct IPs in first-seen order, with the lookup that
 /// interns them: a direct-mapped memo in front of a hash map keeps the
@@ -152,7 +181,7 @@ impl IpTable {
     ///
     /// # Panics
     ///
-    /// Panics past 2^31 distinct IPs, which a head cannot index.
+    /// Panics past 2^31 distinct IPs.
     #[cold]
     #[inline(never)]
     fn intern_miss(&mut self, ip: u64, slot: usize) -> u32 {
@@ -160,7 +189,7 @@ impl IpTable {
         let idx = *self.index.entry(ip).or_insert_with(|| {
             let idx = u32::try_from(ips.len())
                 .ok()
-                .filter(|&i| i < HEAD_MEM)
+                .filter(|&i| (i as usize) < MAX_RECORDS)
                 .expect("trace exceeds 2^31 distinct IPs");
             ips.push(ip);
             idx
@@ -199,11 +228,14 @@ fn unpack(ip: u64, packed: u64) -> Instr {
     }
 }
 
-/// Bytes a `len`-record trace reserves: a 4-byte head and an 8-byte
-/// payload slot per record, plus a 4-byte count per 64-record block.
-/// The IP table (a few entries per stream) is excluded.
-fn reserved_bytes(len: usize) -> usize {
-    len * (4 + 8) + len.div_ceil(BLOCK) * 4
+/// Most bytes a `len`-record trace holds: a head and a payload per
+/// record, an escape per record past the first 127 (before which no
+/// 128th distinct IP can occur), and a block start per 64 records. The
+/// IP table is excluded.
+fn max_bytes(len: usize) -> usize {
+    len * (1 + 8)
+        + len.saturating_sub(ESCAPE as usize) * 4
+        + len.div_ceil(BLOCK) * size_of::<Block>()
 }
 
 impl Trace {
@@ -212,17 +244,25 @@ impl Trace {
         Trace::default()
     }
 
-    /// An empty trace with room for `n` records. Payload slots are
-    /// reserved for every record so a capture never reallocates; the
-    /// slots of non-memory records are never written, so their pages
-    /// need not become resident.
+    /// An empty trace with room for `n` records, payloads included, so
+    /// filling it never reallocates. Call [`fit`](Self::fit) once it is
+    /// full.
     fn with_capacity(n: usize) -> Self {
         Trace {
             ips: IpTable::default(),
             heads: Vec::with_capacity(n),
+            escapes: Vec::new(),
             payloads: Vec::with_capacity(n),
             blocks: Vec::with_capacity(n.div_ceil(BLOCK)),
         }
+    }
+
+    /// Replace the payload reservation with an exact-length copy and
+    /// free it: reused heap makes the reservation's unwritten slots
+    /// resident, and a copy was measured to cost less set-up time than
+    /// shrinking the reservation in place.
+    fn fit(&mut self) {
+        self.payloads = self.payloads.as_slice().to_vec();
     }
 
     /// Append one instruction.
@@ -232,17 +272,37 @@ impl Trace {
     }
 
     /// Append one record in its on-disk form.
+    fn push_packed(&mut self, ip: u64, packed: u64) {
+        if self.heads.len().is_multiple_of(BLOCK) {
+            self.start_block();
+        }
+        self.push_record(ip, packed);
+    }
+
+    /// Record the cursor at a block start; the trace's length must be a
+    /// multiple of [`BLOCK`].
     ///
     /// # Panics
     ///
-    /// Panics past 2^32 memory records, which a block count cannot hold.
-    fn push_packed(&mut self, ip: u64, packed: u64) {
-        if self.heads.len().is_multiple_of(BLOCK) {
-            let before =
-                u32::try_from(self.payloads.len()).expect("trace exceeds 2^32 memory records");
-            self.blocks.push(before);
-        }
-        let mut head = self.ips.intern(ip);
+    /// Panics past 2^32 memory or escaped records, which a block start
+    /// cannot count.
+    fn start_block(&mut self) {
+        let count = |n: usize| u32::try_from(n).expect("trace exceeds 2^32 side records");
+        self.blocks.push(Block {
+            pay: count(self.payloads.len()),
+            esc: count(self.escapes.len()),
+        });
+    }
+
+    /// Append one record within the current block.
+    #[inline]
+    fn push_record(&mut self, ip: u64, packed: u64) {
+        let idx = self.ips.intern(ip);
+        let mut head = if idx < u32::from(ESCAPE) {
+            idx as u8
+        } else {
+            self.escape(idx)
+        };
         if packed & FLAG_MEM != 0 {
             head |= HEAD_MEM;
             self.payloads.push(packed);
@@ -250,16 +310,31 @@ impl Trace {
         self.heads.push(head);
     }
 
-    /// The instruction with head `head`, taking its payload (if it is
-    /// a memory op) at the cursor `pay` and advancing the cursor.
+    /// Record an IP index a head cannot hold, and the head value that
+    /// says so. Out of line: no generator stream reaches it, and inline
+    /// it slowed capture by about 10 %.
+    #[cold]
+    #[inline(never)]
+    fn escape(&mut self, idx: u32) -> u8 {
+        self.escapes.push(idx);
+        ESCAPE
+    }
+
+    /// The instruction with head `head`, taking its escape and payload
+    /// (if it has them) at the cursor `at` and advancing the cursor.
     #[inline]
-    fn decode(&self, head: u32, pay: &mut usize) -> Instr {
-        let ip = self.ips.ips[(head & !HEAD_MEM) as usize];
+    fn decode(&self, head: u8, at: &mut Cursor<usize>) -> Instr {
+        let mut idx = (head & HEAD_IP) as usize;
+        if idx == ESCAPE as usize {
+            idx = self.escapes[at.esc] as usize;
+            at.esc += 1;
+        }
+        let ip = self.ips.ips[idx];
         if head & HEAD_MEM == 0 {
             return Instr::alu(ip);
         }
-        *pay += 1;
-        unpack(ip, self.payloads[*pay - 1])
+        at.pay += 1;
+        unpack(ip, self.payloads[at.pay - 1])
     }
 
     /// Number of recorded instructions.
@@ -272,12 +347,14 @@ impl Trace {
         self.heads.is_empty()
     }
 
-    /// Heap bytes the stream's records reserve, used to size the
-    /// suite-wide trace cache: 4 bytes of head and 8 of payload slot per
-    /// record plus 4 per 64-record block, as a function of
-    /// [`len`](Self::len) only. The few-entry IP table is excluded.
+    /// Bytes the trace's records hold: heads, escapes, payloads and
+    /// block starts, as in the module docs. The IP table is excluded.
+    /// At most [`TraceCache::stream_bytes`] for a stream of this length.
     pub fn size_bytes(&self) -> usize {
-        reserved_bytes(self.len())
+        size_of_val(self.heads.as_slice())
+            + size_of_val(self.escapes.as_slice())
+            + size_of_val(self.payloads.as_slice())
+            + size_of_val(self.blocks.as_slice())
     }
 
     /// The `idx`-th instruction.
@@ -287,13 +364,13 @@ impl Trace {
     /// Panics if `idx` is out of range.
     pub fn get(&self, idx: usize) -> Instr {
         let head = self.heads[idx];
-        let start = idx - idx % BLOCK;
-        let mut pay = self.blocks[idx / BLOCK] as usize
-            + self.heads[start..idx]
-                .iter()
-                .filter(|&&h| h & HEAD_MEM != 0)
-                .count();
-        self.decode(head, &mut pay)
+        let start = self.blocks[idx / BLOCK];
+        let before = &self.heads[idx - idx % BLOCK..idx];
+        let mut at = Cursor {
+            pay: start.pay as usize + before.iter().filter(|&&h| h & HEAD_MEM != 0).count(),
+            esc: start.esc as usize + before.iter().filter(|&&h| h & HEAD_IP == ESCAPE).count(),
+        };
+        self.decode(head, &mut at)
     }
 
     /// Serialize to a writer (16 bytes per record plus a 16-byte
@@ -305,9 +382,9 @@ impl Trace {
     pub fn to_writer<W: Write>(&self, mut w: W) -> io::Result<()> {
         w.write_all(&MAGIC)?;
         w.write_all(&(self.len() as u64).to_le_bytes())?;
-        let mut pay = 0;
+        let mut at = Cursor::default();
         for &head in &self.heads {
-            let (ip, packed) = pack(&self.decode(head, &mut pay));
+            let (ip, packed) = pack(&self.decode(head, &mut at));
             w.write_all(&ip.to_le_bytes())?;
             w.write_all(&packed.to_le_bytes())?;
         }
@@ -320,7 +397,7 @@ impl Trace {
     /// hostile input fails with a diagnostic instead of panicking or
     /// aborting: the record count only bounds allocation up to a fixed
     /// cap (a corrupt count cannot trigger OOM), and each record's flag
-    /// bits must be a combination [`pack`] can produce (reserved bits
+    /// bits must be a combination `pack` can produce (reserved bits
     /// 57–60 clear; store/dependence flags only on memory records).
     ///
     /// # Errors
@@ -368,19 +445,20 @@ impl Trace {
             }
             t.push_packed(ip, packed);
         }
+        t.fit();
         Ok(t)
     }
 }
 
 /// Instructions [`capture`] pulls from the workload per
-/// [`Workload::next_batch`] call.
-const CAPTURE_BATCH: usize = 1024;
+/// [`Workload::next_batch`] call: whole blocks.
+const CAPTURE_BATCH: usize = 16 * BLOCK;
 
 /// Record the next `n` instructions of a workload.
 ///
 /// The workload is pulled through [`Workload::next_batch`], which yields
 /// the same stream as `n` calls of `next_instr`, so the dynamic dispatch
-/// is paid once per [`CAPTURE_BATCH`] records.
+/// is paid once per 1024 records.
 pub fn capture(wl: &mut dyn Workload, n: usize) -> Trace {
     let mut t = Trace::with_capacity(n);
     let mut buf = Vec::with_capacity(CAPTURE_BATCH);
@@ -388,11 +466,19 @@ pub fn capture(wl: &mut dyn Workload, n: usize) -> Trace {
     while left > 0 {
         let k = left.min(CAPTURE_BATCH);
         wl.next_batch(&mut buf, k);
-        for i in &buf {
-            t.push(i);
+        // Every batch but the last is whole blocks, so each chunk starts
+        // one; per-block pushes keep the boundary test out of the
+        // per-record loop.
+        for block in buf.chunks(BLOCK) {
+            t.start_block();
+            for i in block {
+                let (ip, packed) = pack(i);
+                t.push_record(ip, packed);
+            }
         }
         left -= k;
     }
+    t.fit();
     t
 }
 
@@ -406,8 +492,8 @@ pub fn capture(wl: &mut dyn Workload, n: usize) -> Trace {
 pub struct TraceReplay {
     trace: Arc<Trace>,
     pos: usize,
-    /// Index of the next memory record's payload.
-    pay: usize,
+    /// The next record's payload and escape indices.
+    at: Cursor<usize>,
 }
 
 impl TraceReplay {
@@ -430,7 +516,7 @@ impl TraceReplay {
         TraceReplay {
             trace,
             pos: 0,
-            pay: 0,
+            at: Cursor::default(),
         }
     }
 }
@@ -442,11 +528,11 @@ impl Workload for TraceReplay {
 
     fn next_instr(&mut self) -> Instr {
         let t = &*self.trace;
-        let i = t.decode(t.heads[self.pos], &mut self.pay);
+        let i = t.decode(t.heads[self.pos], &mut self.at);
         self.pos += 1;
         if self.pos == t.len() {
             self.pos = 0;
-            self.pay = 0;
+            self.at = Cursor::default();
         }
         i
     }
@@ -461,16 +547,16 @@ impl Workload for TraceReplay {
         let mut remaining = n;
         while remaining > 0 {
             let take = remaining.min(len - self.pos);
-            let pay = &mut self.pay;
+            let at = &mut self.at;
             out.extend(
                 t.heads[self.pos..self.pos + take]
                     .iter()
-                    .map(|&head| t.decode(head, pay)),
+                    .map(|&head| t.decode(head, at)),
             );
             self.pos += take;
             if self.pos == len {
                 self.pos = 0;
-                self.pay = 0;
+                self.at = Cursor::default();
             }
             remaining -= take;
         }
@@ -515,11 +601,12 @@ impl TraceCache {
         TraceCache::default()
     }
 
-    /// Bytes the stream `key` describes reserves once captured, equal
-    /// to its [`Trace::size_bytes`]: 12 bytes per instruction plus 4 per
-    /// 64 instructions.
+    /// Most bytes the stream `key` describes can hold once captured, an
+    /// upper bound on its [`Trace::size_bytes`] from its length alone:
+    /// 9 bytes per instruction, 4 more per instruction past the 127th,
+    /// and 8 per 64 instructions.
     pub fn stream_bytes(key: StreamKey) -> usize {
-        reserved_bytes(key.len as usize)
+        max_bytes(key.len as usize)
     }
 
     fn lock(&self) -> MutexGuard<'_, HashMap<StreamKey, Arc<OnceLock<Arc<Trace>>>>> {
@@ -546,7 +633,8 @@ impl TraceCache {
         self.lock().values().filter(|c| c.get().is_some()).count()
     }
 
-    /// Total heap footprint of all captured streams, in bytes.
+    /// Bytes all captured streams hold (the sum of their
+    /// [`Trace::size_bytes`]).
     pub fn footprint_bytes(&self) -> usize {
         self.lock()
             .values()
@@ -585,6 +673,26 @@ mod tests {
         assert_eq!(buf.len(), 16 + 16 * 5_000);
         let t2 = Trace::from_reader(&buf[..]).unwrap();
         assert_eq!(t, t2);
+    }
+
+    #[test]
+    fn capture_keeps_exact_fit_payloads() {
+        for (bench, n) in [(BenchmarkId::Pr, 5_000), (BenchmarkId::Xalancbmk, 4_097)] {
+            let name = bench.name();
+            let t = capture(bench.build(Scale::Test, 42).as_mut(), n);
+            let mem = t.heads.iter().filter(|&&h| h & HEAD_MEM != 0).count();
+            assert!(mem > 0 && mem < n, "{name}: {mem} memory records");
+            assert_eq!(t.payloads.len(), mem, "{name}");
+            assert_eq!(t.payloads.capacity(), mem, "{name}: capture slack");
+            let back = Trace::from_reader(&to_bytes(&t)[..]).unwrap();
+            assert_eq!(back.payloads.capacity(), mem, "{name}: read slack");
+        }
+    }
+
+    fn to_bytes(t: &Trace) -> Vec<u8> {
+        let mut buf = Vec::new();
+        t.to_writer(&mut buf).unwrap();
+        buf
     }
 
     #[test]
@@ -658,7 +766,8 @@ mod tests {
         let b = cache.get(key);
         assert!(Arc::ptr_eq(&a, &b), "same key must share one capture");
         assert_eq!(cache.streams(), 1);
-        assert_eq!(cache.footprint_bytes(), TraceCache::stream_bytes(key));
+        assert_eq!(cache.footprint_bytes(), a.size_bytes());
+        assert!(a.size_bytes() <= TraceCache::stream_bytes(key));
 
         // A different seed is a different stream.
         let c = cache.get(StreamKey { seed: 43, ..key });

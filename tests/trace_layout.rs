@@ -6,8 +6,11 @@
 //!   `next_batch` at batch sizes {1, 7, 64, 4096}, each across at least
 //!   three wraps. The generators' own `next_batch` overrides must yield
 //!   their `next_instr` stream at the same batch sizes.
-//! * **Edge streams** — all non-memory, all memory, one record, and
-//!   70 000 distinct IPs (more than a 16-bit head could index).
+//! * **Edge streams** — all non-memory, all memory, one record, 70 000
+//!   distinct IPs (more than a 16-bit head could index), and 126, 127,
+//!   128 and 255 distinct IPs, around the one-byte head's escape.
+//! * **Sizes** — `Trace::size_bytes` is the bytes a trace holds, at
+//!   most the `TraceCache::stream_bytes` bound.
 //! * **File format** — FNV-1a digests of the `to_writer` bytes of two
 //!   60k-record captures, recorded from the 16-byte-per-record layout
 //!   that preceded the dense one, and `from_reader(to_writer(t)) == t`.
@@ -179,21 +182,87 @@ fn file_bytes_are_pinned() {
     }
 }
 
-/// 4 bytes of head and 8 of payload slot per record, 4 per 64-record
-/// block; cache charges and trace sizes agree for every length.
+/// A stream of `ips` distinct IPs, three and a bit passes over them
+/// (the first in order, the rest scrambled), two records in three
+/// touching memory.
+fn ip_stream(ips: u64) -> Vec<Instr> {
+    (0..3 * ips + 5)
+        .map(|i| {
+            let k = if i < ips { i } else { i * 37 % ips };
+            let ip = 0x40_0000 + k * 4;
+            match i % 3 {
+                0 => Instr::alu(ip),
+                1 => Instr::load(ip, VirtAddr::new(i << 12)),
+                _ => Instr::store(ip, VirtAddr::new((i << 12) | 0x40)),
+            }
+        })
+        .collect()
+}
+
+/// Streams at the edge of the one-byte head: indices 0–126 fit the
+/// head, and the 128th distinct IP on takes the escape list.
 #[test]
-fn cache_charges_equal_trace_sizes() {
+fn escape_edge_streams_match_the_reference() {
+    for ips in [126, 127, 128, 255] {
+        let stream = ip_stream(ips);
+        check(&traced(&stream), &stream, &format!("{ips} distinct IPs"));
+    }
+}
+
+/// The bytes a trace of `reference` holds: a head per record, a
+/// payload per memory record, a 4-byte escape per record whose IP is
+/// past the first 127 distinct ones, and 8 bytes per 64-record block.
+fn held_bytes(reference: &[Instr]) -> usize {
+    let mut seen = std::collections::HashMap::new();
+    let mut bytes = reference.len() + reference.len().div_ceil(64) * 8;
+    for i in reference {
+        let next = seen.len();
+        if *seen.entry(i.ip).or_insert(next) >= 127 {
+            bytes += 4;
+        }
+        if i.op.is_some() {
+            bytes += 8;
+        }
+    }
+    bytes
+}
+
+/// A trace's size is the bytes it holds, and never more than the cache
+/// bound computed from its length alone.
+#[test]
+fn trace_sizes_are_held_bytes_within_the_cache_bound() {
+    let bound = |len: usize| {
+        TraceCache::stream_bytes(StreamKey {
+            bench: BenchmarkId::Mcf,
+            scale: Scale::Test,
+            seed: 3,
+            len: len as u64,
+        })
+    };
     let cache = TraceCache::new();
-    for len in [1u64, 63, 64, 65, 4_999] {
+    for len in [1usize, 63, 64, 65, 4_999] {
         let key = StreamKey {
             bench: BenchmarkId::Mcf,
             scale: Scale::Test,
             seed: 3,
-            len,
+            len: len as u64,
         };
-        let len = len as usize;
-        let reserved = len * 12 + len.div_ceil(64) * 4;
-        assert_eq!(TraceCache::stream_bytes(key), reserved, "len {len}");
-        assert_eq!(cache.get(key).size_bytes(), reserved, "len {len}");
+        let mut wl = BenchmarkId::Mcf.build(Scale::Test, 3);
+        let reference: Vec<Instr> = (0..len).map(|_| wl.next_instr()).collect();
+        let size = cache.get(key).size_bytes();
+        assert_eq!(size, held_bytes(&reference), "mcf len {len}");
+        assert!(size <= bound(len), "mcf len {len}: {size} > {}", bound(len));
     }
+    // Escaped streams, and the worst case: every record a new IP and a
+    // memory op, which the bound must meet exactly.
+    let every_new: Vec<Instr> = (0..300u64)
+        .map(|i| Instr::load(0x40_0000 + i * 4, VirtAddr::new(i << 12)))
+        .collect();
+    let streams = [126, 127, 128, 255].map(ip_stream);
+    for stream in streams.iter().chain([&every_new]) {
+        let size = traced(stream).size_bytes();
+        assert_eq!(size, held_bytes(stream), "len {}", stream.len());
+        assert!(size <= bound(stream.len()), "len {}", stream.len());
+    }
+    assert_eq!(traced(&every_new).size_bytes(), bound(every_new.len()));
 }
