@@ -58,6 +58,14 @@ cargo bench --offline -p atc-harness --bench harness_scaling -- \
 cargo run --offline --release -p atc-bench --bin check_bench_json -- \
     --scaling-report BENCH_sim.json
 
+echo "==> prefetcher micro-bench (prefetchers --append)"
+# Per-call cost of each prefetcher's on_access (prefetch/<label>, 20k
+# calls per iteration), merged into the same trajectory document. No
+# floor: absolute rates on this shared host move with its load, so the
+# entries record a trajectory rather than gate one.
+cargo bench --offline -p atc-bench --bench prefetchers -- \
+    --samples 3 --append --json "$PWD/BENCH_sim.json"
+
 echo "==> suite smoke (full sweep catalog, checkpointed)"
 # --check requires every job to succeed and gates the smoke-class paper
 # claims (crates/experiments/src/claims.rs); claims of a larger class

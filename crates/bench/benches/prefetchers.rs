@@ -1,5 +1,10 @@
 //! Micro-benchmarks of prefetcher training/prediction throughput on a
-//! mixed sequential + irregular access stream.
+//! mixed sequential + irregular access stream: one `prefetch/<label>`
+//! entry per prefetcher, 20k `on_access` calls per iteration.
+//!
+//! ```text
+//! cargo bench -p atc-bench --bench prefetchers -- --samples 3 --append --json BENCH_sim.json
+//! ```
 
 use atc_bench::Reporter;
 use atc_prefetch::{PrefetchContext, PrefetcherKind};
@@ -30,7 +35,7 @@ fn main() {
         PrefetcherKind::Bingo,
         PrefetcherKind::Isb,
     ] {
-        reporter.bench(&format!("kind/{}", kind.label()), 20, || {
+        reporter.bench(&format!("prefetch/{}", kind.label()), 20, || {
             let mut pf = kind.build().expect("buildable");
             let mut emitted = 0usize;
             for i in 0..20_000u64 {

@@ -12,9 +12,7 @@
 //! original IP signature and the paper's per-class translation-conscious
 //! signature (T-Hawkeye).
 
-use std::collections::HashMap;
-
-use atc_types::{AccessInfo, LineAddr, SignatureMode};
+use atc_types::{AccessInfo, FastMap, LineAddr, SignatureMode};
 
 use super::{fold_hash16, ReplacementPolicy, SatCounter};
 
@@ -46,7 +44,7 @@ struct Sampler {
     capacity: u32,
     time: u64,
     /// line → (last access time, signature index of last accessor).
-    last: HashMap<LineAddr, (u64, u16)>,
+    last: FastMap<LineAddr, (u64, u16)>,
     /// Circular occupancy vector indexed by `time % window`.
     occupancy: Vec<u32>,
 }
@@ -66,7 +64,7 @@ impl Sampler {
             window,
             capacity: ways as u32,
             time: 0,
-            last: HashMap::new(),
+            last: FastMap::default(),
             occupancy: vec![0; window as usize],
         }
     }
@@ -109,7 +107,7 @@ pub struct Hawkeye {
     meta: Vec<LineMeta>,
     ways: usize,
     predictor: Vec<SatCounter>,
-    samplers: HashMap<usize, Sampler>,
+    samplers: FastMap<usize, Sampler>,
     mode: SignatureMode,
 }
 

@@ -6,13 +6,14 @@
 //! "PC+Offset" events of the region's trigger access. When a region is
 //! re-entered, the stored footprint is prefetched — long event preferred,
 //! short event as fallback. Prefetches never leave the trigger region
-//! (page), the limitation Fig 8 exploits.
+//! (page), the limitation Fig 8 exploits. A footprint wider than
+//! [`MAX_DEGREE`](crate::MAX_DEGREE) yields its lowest lines: the
+//! candidates are emitted in ascending line order and the list stops
+//! when it is full.
 
-use std::collections::HashMap;
+use atc_types::{FastMap, LineAddr};
 
-use atc_types::LineAddr;
-
-use crate::{PrefetchContext, PrefetchRequest, Prefetcher};
+use crate::{Candidates, PrefetchContext, PrefetchRequest, Prefetcher};
 
 /// Lines per 4 KiB region.
 const REGION_LINES: u64 = 64;
@@ -32,11 +33,11 @@ struct ActiveRegion {
 /// The Bingo prefetcher.
 #[derive(Debug)]
 pub struct Bingo {
-    active: HashMap<u64, ActiveRegion>,
+    active: FastMap<u64, ActiveRegion>,
     /// Long event: (ip, region) → footprint.
-    by_ip_addr: HashMap<(u64, u64), u64>,
+    by_ip_addr: FastMap<(u64, u64), u64>,
     /// Short event: (ip, offset) → footprint.
-    by_ip_offset: HashMap<(u64, u8), u64>,
+    by_ip_offset: FastMap<(u64, u8), u64>,
     clock: u64,
 }
 
@@ -44,9 +45,9 @@ impl Bingo {
     /// Create a Bingo prefetcher.
     pub fn new() -> Self {
         Bingo {
-            active: HashMap::new(),
-            by_ip_addr: HashMap::new(),
-            by_ip_offset: HashMap::new(),
+            active: FastMap::default(),
+            by_ip_addr: FastMap::default(),
+            by_ip_offset: FastMap::default(),
             clock: 0,
         }
     }
@@ -75,7 +76,7 @@ impl Prefetcher for Bingo {
         "Bingo"
     }
 
-    fn on_access(&mut self, ctx: &PrefetchContext) -> Vec<PrefetchRequest> {
+    fn on_access(&mut self, ctx: &PrefetchContext) -> Candidates {
         self.clock += 1;
         let region = ctx.line.raw() / REGION_LINES;
         let offset = (ctx.line.raw() % REGION_LINES) as u8;
@@ -84,10 +85,12 @@ impl Prefetcher for Bingo {
             // Accumulate the footprint; no new prediction mid-region.
             r.footprint |= 1 << offset;
             r.lru = self.clock;
-            return Vec::new();
+            return Candidates::new();
         }
 
-        // Region (re-)entered: evict the oldest active region if full.
+        // Region (re-)entered: evict the oldest active region if full
+        // (`lru` is a unique clock value, so the minimum is unique and
+        // independent of the map's iteration order).
         if self.active.len() >= ACTIVE_CAP {
             let (&oldest, _) = self
                 .active
@@ -114,15 +117,15 @@ impl Prefetcher for Bingo {
             .or_else(|| self.by_ip_offset.get(&(ctx.ip, offset)))
             .copied()
             .unwrap_or(0);
-        let mut out = Vec::new();
-        if footprint != 0 {
-            for bit in 0..REGION_LINES {
-                if bit as u8 != offset && footprint & (1 << bit) != 0 {
-                    out.push(PrefetchRequest::Phys(LineAddr::new(
-                        region * REGION_LINES + bit,
-                    )));
-                }
-            }
+        // Every recorded line but the trigger, lowest first.
+        let mut rest = footprint & !(1 << offset);
+        let mut out = Candidates::new();
+        while rest != 0 && !out.is_full() {
+            let bit = rest.trailing_zeros() as u64;
+            out.push(PrefetchRequest::Phys(LineAddr::new(
+                region * REGION_LINES + bit,
+            )));
+            rest &= rest - 1;
         }
         out
     }
@@ -131,6 +134,7 @@ impl Prefetcher for Bingo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_DEGREE;
     use atc_types::VirtAddr;
 
     fn ctx(ip: u64, line: u64) -> PrefetchContext {
@@ -199,6 +203,22 @@ mod tests {
         // New region, same (ip, offset) event.
         let reqs = b.on_access(&ctx(9, 300 * 64));
         assert_eq!(reqs.len(), 2, "footprint minus trigger line");
+    }
+
+    #[test]
+    fn wide_footprint_yields_its_lowest_lines() {
+        let mut b = Bingo::new();
+        // Footprint {0, 2, 3, 5, 8, 9, 11} of region 4, trigger offset 5.
+        for off in [5u64, 0, 2, 3, 8, 9, 11] {
+            b.on_access(&ctx(3, 4 * 64 + off));
+        }
+        for i in 0..200u64 {
+            b.on_access(&ctx(1, (10 + i) * 64));
+        }
+        let reqs = b.on_access(&ctx(3, 4 * 64 + 5));
+        let expect = [0u64, 2, 3, 8].map(|o| PrefetchRequest::Phys(LineAddr::new(4 * 64 + o)));
+        assert_eq!(reqs.len(), MAX_DEGREE);
+        assert_eq!(reqs, expect, "lowest four lines other than the trigger");
     }
 
     #[test]

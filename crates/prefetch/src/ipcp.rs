@@ -14,11 +14,9 @@
 //! pointer-chasing workloads studied here (which is the paper's point —
 //! IPCP "fails to hide the ROB stalls because of a replay load").
 
-use std::collections::HashMap;
+use atc_types::{FastMap, VirtAddr};
 
-use atc_types::VirtAddr;
-
-use crate::{PrefetchContext, PrefetchRequest, Prefetcher};
+use crate::{Candidates, PrefetchContext, PrefetchRequest, Prefetcher};
 
 #[derive(Debug, Clone, Copy)]
 struct IpEntry {
@@ -30,15 +28,15 @@ struct IpEntry {
 /// The IPCP prefetcher (CS + GS classes, virtual-address prefetching).
 #[derive(Debug)]
 pub struct Ipcp {
-    ip_table: HashMap<u64, IpEntry>,
+    ip_table: FastMap<u64, IpEntry>,
     /// Global stream state: last line-granular VA and a run counter.
     global_last_line: u64,
     global_run: u32,
     max_table: usize,
 }
 
-/// Maximum degree at full confidence.
-const MAX_DEGREE: i64 = 3;
+/// Degree at full confidence (within [`crate::MAX_DEGREE`]).
+const FULL_DEGREE: i64 = 3;
 /// IP table capacity (IPCP uses a 64-entry table per the paper's ~1 KB
 /// budget; a few hundred is generous but keeps behaviour stable).
 const TABLE_CAP: usize = 1024;
@@ -47,7 +45,7 @@ impl Ipcp {
     /// Create an IPCP prefetcher.
     pub fn new() -> Self {
         Ipcp {
-            ip_table: HashMap::new(),
+            ip_table: FastMap::default(),
             global_last_line: 0,
             global_run: 0,
             max_table: TABLE_CAP,
@@ -66,10 +64,10 @@ impl Prefetcher for Ipcp {
         "IPCP"
     }
 
-    fn on_access(&mut self, ctx: &PrefetchContext) -> Vec<PrefetchRequest> {
+    fn on_access(&mut self, ctx: &PrefetchContext) -> Candidates {
         let va = ctx.vaddr.raw();
         let va_line = va >> 6;
-        let mut out = Vec::new();
+        let mut out = Candidates::new();
 
         // --- CS class: per-IP constant stride, at line granularity. ---
         if self.ip_table.len() >= self.max_table && !self.ip_table.contains_key(&ctx.ip) {
@@ -95,7 +93,11 @@ impl Prefetcher for Ipcp {
             entry.last_vaddr = va_line;
         }
         if entry.confidence >= 2 && entry.stride != 0 {
-            let degree = if entry.confidence == 3 { MAX_DEGREE } else { 2 };
+            let degree = if entry.confidence == 3 {
+                FULL_DEGREE
+            } else {
+                2
+            };
             for d in 1..=degree {
                 let target = va_line as i64 + entry.stride * d;
                 if target > 0 {
@@ -139,7 +141,7 @@ mod tests {
     fn constant_stride_is_learned_and_prefetched() {
         let mut p = Ipcp::new();
         let stride = 128u64; // 2 lines
-        let mut reqs = Vec::new();
+        let mut reqs = Candidates::new();
         for i in 0..6 {
             reqs = p.on_access(&ctx(7, 0x10_0000 + i * stride));
         }
@@ -152,7 +154,7 @@ mod tests {
     fn stride_crosses_page_boundaries() {
         let mut p = Ipcp::new();
         // Stride of one page: trains fine, prefetches next pages.
-        let mut reqs = Vec::new();
+        let mut reqs = Candidates::new();
         for i in 0..6 {
             reqs = p.on_access(&ctx(9, 0x40_0000 + i * 4096));
         }
@@ -184,7 +186,7 @@ mod tests {
     #[test]
     fn global_stream_detects_dense_runs() {
         let mut p = Ipcp::new();
-        let mut reqs = Vec::new();
+        let mut reqs = Candidates::new();
         // Different IPs touching sequential lines.
         for i in 0..8u64 {
             reqs = p.on_access(&ctx(100 + i, 0x200_0000 + i * 64));

@@ -10,13 +10,11 @@
 //! This is why ISB is the one prior prefetcher that covers some replay
 //! loads in the paper (§III).
 
-use std::collections::HashMap;
+use atc_types::{FastMap, LineAddr};
 
-use atc_types::LineAddr;
+use crate::{Candidates, PrefetchContext, PrefetchRequest, Prefetcher};
 
-use crate::{PrefetchContext, PrefetchRequest, Prefetcher};
-
-/// Prefetch degree (structural read-ahead).
+/// Prefetch degree (structural read-ahead, within [`crate::MAX_DEGREE`]).
 const DEGREE: u64 = 3;
 /// Capacity of the PS/SP maps (on-chip metadata is finite; the real ISB
 /// pages metadata to DRAM keyed by TLB residency).
@@ -25,22 +23,22 @@ const MAP_CAP: usize = 1 << 20;
 /// The ISB temporal prefetcher.
 #[derive(Debug)]
 pub struct Isb {
-    ps: HashMap<u64, u64>,
-    sp: HashMap<u64, u64>,
+    ps: FastMap<u64, u64>,
+    sp: FastMap<u64, u64>,
     next_structural: u64,
     /// Last structural address assigned/observed per training stream
     /// (keyed by trigger IP, the stream predictor surrogate).
-    stream_cursor: HashMap<u64, u64>,
+    stream_cursor: FastMap<u64, u64>,
 }
 
 impl Isb {
     /// Create an ISB prefetcher.
     pub fn new() -> Self {
         Isb {
-            ps: HashMap::new(),
-            sp: HashMap::new(),
+            ps: FastMap::default(),
+            sp: FastMap::default(),
             next_structural: 0,
-            stream_cursor: HashMap::new(),
+            stream_cursor: FastMap::default(),
         }
     }
 
@@ -66,7 +64,7 @@ impl Prefetcher for Isb {
         "ISB"
     }
 
-    fn on_access(&mut self, ctx: &PrefetchContext) -> Vec<PrefetchRequest> {
+    fn on_access(&mut self, ctx: &PrefetchContext) -> Candidates {
         let phys = ctx.line.raw();
 
         // --- Training: extend this stream's structural run. ---

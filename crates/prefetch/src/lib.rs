@@ -19,6 +19,26 @@
 //! simulator feeds every demand access via
 //! [`on_access`](Prefetcher::on_access) and issues the returned
 //! candidates through the cache hierarchy.
+//!
+//! # Hot-path shape
+//!
+//! `on_access` runs on every demand access that reaches the prefetcher's
+//! level, so the layer allocates nothing per call:
+//!
+//! * candidates come back as [`Candidates`], an inline list of at most
+//!   [`MAX_DEGREE`] requests — the most the simulator issues per access.
+//!   A prefetcher whose prediction is wider (a Bingo footprint) keeps
+//!   its first `MAX_DEGREE` candidates in its own emission order;
+//! * the models' tables are [`FastMap`](atc_types::FastMap)s on an
+//!   in-tree Fx-style hasher rather than SipHash, and SPP's pattern
+//!   table is a flat array indexed by its 12-bit signature.
+//!
+//! The hasher cannot change what a prefetcher predicts: lookups and
+//! inserts do not depend on it, and the one hasher-dependent operation,
+//! iteration order, was already randomised per map under `std`'s
+//! `RandomState`. The one model that iterates a map, Bingo's LRU
+//! eviction, takes the minimum of a unique clock, which no order can
+//! change.
 
 pub mod bingo;
 pub mod ipcp;
@@ -58,14 +78,120 @@ pub enum PrefetchRequest {
     Virt(VirtAddr),
 }
 
+/// Most prefetch candidates one [`Prefetcher::on_access`] call returns,
+/// and so the most the simulator issues per demand access.
+pub const MAX_DEGREE: usize = 4;
+
+/// The prefetch candidates of one access: an inline list of at most
+/// [`MAX_DEGREE`] requests, in emission order.
+///
+/// It dereferences to a slice, iterates by value, collects from an
+/// iterator and compares equal to an array holding the same requests, so
+/// it reads like the `Vec` it replaces without a heap allocation per
+/// call.
+///
+/// ```
+/// use atc_prefetch::{Candidates, PrefetchRequest, MAX_DEGREE};
+/// use atc_types::LineAddr;
+///
+/// let c: Candidates = (0..10).map(|l| PrefetchRequest::Phys(LineAddr::new(l))).collect();
+/// assert_eq!(c.len(), MAX_DEGREE); // collect keeps the first MAX_DEGREE
+/// assert_eq!(c[0], PrefetchRequest::Phys(LineAddr::new(0)));
+/// ```
+#[derive(Clone, Copy)]
+pub struct Candidates {
+    reqs: [PrefetchRequest; MAX_DEGREE],
+    len: u8,
+}
+
+impl Candidates {
+    /// An empty list.
+    pub const fn new() -> Self {
+        Candidates {
+            reqs: [PrefetchRequest::Phys(LineAddr::new(0)); MAX_DEGREE],
+            len: 0,
+        }
+    }
+
+    /// True once the list holds [`MAX_DEGREE`] requests.
+    pub fn is_full(&self) -> bool {
+        self.len as usize == MAX_DEGREE
+    }
+
+    /// Append `req`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list [`is_full`](Self::is_full): a prefetcher must
+    /// bound its own degree by [`MAX_DEGREE`].
+    pub fn push(&mut self, req: PrefetchRequest) {
+        assert!(!self.is_full(), "more than MAX_DEGREE prefetch candidates");
+        self.reqs[self.len as usize] = req;
+        self.len += 1;
+    }
+}
+
+impl Default for Candidates {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::ops::Deref for Candidates {
+    type Target = [PrefetchRequest];
+
+    fn deref(&self) -> &[PrefetchRequest] {
+        &self.reqs[..self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for Candidates {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Keeps the first [`MAX_DEGREE`] items and stops pulling after them.
+impl FromIterator<PrefetchRequest> for Candidates {
+    fn from_iter<I: IntoIterator<Item = PrefetchRequest>>(iter: I) -> Self {
+        let mut out = Candidates::new();
+        for req in iter.into_iter().take(MAX_DEGREE) {
+            out.push(req);
+        }
+        out
+    }
+}
+
+impl IntoIterator for Candidates {
+    type Item = PrefetchRequest;
+    type IntoIter = std::iter::Take<std::array::IntoIter<PrefetchRequest, MAX_DEGREE>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.reqs.into_iter().take(self.len as usize)
+    }
+}
+
+impl PartialEq for Candidates {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<const N: usize> PartialEq<[PrefetchRequest; N]> for Candidates {
+    fn eq(&self, other: &[PrefetchRequest; N]) -> bool {
+        **self == *other
+    }
+}
+
 /// A hardware prefetcher observing one cache level's demand stream.
 pub trait Prefetcher: std::fmt::Debug + Send {
     /// Prefetcher name for reports.
     fn name(&self) -> &'static str;
 
-    /// Observe a demand access; return prefetch candidates (possibly
-    /// empty). Implementations must bound the degree per call.
-    fn on_access(&mut self, ctx: &PrefetchContext) -> Vec<PrefetchRequest>;
+    /// Observe a demand access; return its prefetch candidates (possibly
+    /// none), at most [`MAX_DEGREE`] of them, inline — the call
+    /// allocates nothing.
+    fn on_access(&mut self, ctx: &PrefetchContext) -> Candidates;
 }
 
 /// Which prefetcher to attach, and where it lives in the hierarchy.
@@ -160,6 +286,39 @@ mod tests {
             let p = k.build().expect("builds");
             assert!(!p.name().is_empty());
         }
+    }
+
+    fn phys(l: u64) -> PrefetchRequest {
+        PrefetchRequest::Phys(LineAddr::new(l))
+    }
+
+    #[test]
+    fn candidates_read_like_a_vec() {
+        let mut c = Candidates::new();
+        assert!(c.is_empty());
+        c.push(phys(3));
+        c.push(PrefetchRequest::Virt(VirtAddr::new(64)));
+        assert_eq!(c.len(), 2);
+        assert_eq!(c, [phys(3), PrefetchRequest::Virt(VirtAddr::new(64))]);
+        assert_eq!(c.into_iter().collect::<Vec<_>>(), c.to_vec());
+        assert_eq!(format!("{c:?}"), format!("{:?}", c.to_vec()));
+        assert_ne!(c, Candidates::new());
+    }
+
+    #[test]
+    fn collect_keeps_the_first_max_degree() {
+        let mut pulled = 0;
+        let c: Candidates = (0..10).inspect(|_| pulled += 1).map(phys).collect();
+        assert!(c.is_full());
+        assert_eq!(c, [phys(0), phys(1), phys(2), phys(3)]);
+        assert_eq!(pulled, MAX_DEGREE, "stops pulling once full");
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_DEGREE")]
+    fn push_beyond_max_degree_panics() {
+        let mut c: Candidates = (0..MAX_DEGREE as u64).map(phys).collect();
+        c.push(phys(99));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use atc_types::LineAddr;
 
-use crate::{same_page, PrefetchContext, PrefetchRequest, Prefetcher};
+use crate::{same_page, Candidates, PrefetchContext, PrefetchRequest, Prefetcher, MAX_DEGREE};
 
 /// The classic next-line prefetcher (page-bounded).
 #[derive(Debug)]
@@ -16,9 +16,10 @@ impl NextLine {
     ///
     /// # Panics
     ///
-    /// Panics if `degree == 0`.
+    /// Panics if `degree == 0` or `degree > MAX_DEGREE`.
     pub fn new(degree: usize) -> Self {
         assert!(degree > 0);
+        assert!(degree <= MAX_DEGREE);
         NextLine { degree }
     }
 }
@@ -28,7 +29,7 @@ impl Prefetcher for NextLine {
         "next-line"
     }
 
-    fn on_access(&mut self, ctx: &PrefetchContext) -> Vec<PrefetchRequest> {
+    fn on_access(&mut self, ctx: &PrefetchContext) -> Candidates {
         (1..=self.degree as u64)
             .filter_map(|d| same_page(ctx.line, LineAddr::new(ctx.line.raw() + d)))
             .map(PrefetchRequest::Phys)
@@ -56,11 +57,17 @@ mod tests {
         let reqs = p.on_access(&ctx(10));
         assert_eq!(
             reqs,
-            vec![
+            [
                 PrefetchRequest::Phys(LineAddr::new(11)),
                 PrefetchRequest::Phys(LineAddr::new(12))
             ]
         );
+    }
+
+    #[test]
+    #[should_panic]
+    fn degree_beyond_max_degree_panics() {
+        NextLine::new(MAX_DEGREE + 1);
     }
 
     #[test]
@@ -70,6 +77,6 @@ mod tests {
         let reqs = p.on_access(&ctx(63));
         assert!(reqs.is_empty());
         let reqs = p.on_access(&ctx(62));
-        assert_eq!(reqs, vec![PrefetchRequest::Phys(LineAddr::new(63))]);
+        assert_eq!(reqs, [PrefetchRequest::Phys(LineAddr::new(63))]);
     }
 }

@@ -8,11 +8,11 @@
 //! page boundary on every emitted prefetch (SPP trains across pages but
 //! never prefetches across them — the property Fig 8 relies on).
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
-use atc_types::LineAddr;
+use atc_types::{FastMap, LineAddr};
 
-use crate::{same_page, PrefetchContext, PrefetchRequest, Prefetcher};
+use crate::{same_page, Candidates, PrefetchContext, PrefetchRequest, Prefetcher, MAX_DEGREE};
 
 #[derive(Debug, Clone, Copy)]
 struct PageEntry {
@@ -20,36 +20,46 @@ struct PageEntry {
     last_offset: u8,
 }
 
-#[derive(Debug, Clone, Default)]
+/// Deltas tracked per signature.
+const PATTERN_DELTAS: usize = 4;
+
+#[derive(Debug, Clone, Copy, Default)]
 struct Pattern {
-    /// delta → hit counter.
-    deltas: Vec<(i8, u32)>,
+    /// delta → hit counter; the first `len` entries are live.
+    deltas: [(i8, u32); PATTERN_DELTAS],
+    len: u8,
     total: u32,
 }
 
 impl Pattern {
     fn train(&mut self, delta: i8) {
         self.total += 1;
-        if let Some(e) = self.deltas.iter_mut().find(|e| e.0 == delta) {
+        let len = self.len as usize;
+        if let Some(e) = self.deltas[..len].iter_mut().find(|e| e.0 == delta) {
             e.1 += 1;
+        } else if len < PATTERN_DELTAS {
+            self.deltas[len] = (delta, 1);
+            self.len += 1;
         } else {
-            if self.deltas.len() >= 4 {
-                // Evict the weakest predicted delta.
-                let (i, _) = self
-                    .deltas
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.1)
-                    .expect("non-empty");
-                self.deltas.swap_remove(i);
-            }
-            self.deltas.push((delta, 1));
+            // Evict the weakest predicted delta (the first of equals),
+            // moving the last entry into its slot as `swap_remove` does,
+            // and append the new delta.
+            let (i, _) = self
+                .deltas
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.1)
+                .expect("non-empty");
+            self.deltas[i] = self.deltas[PATTERN_DELTAS - 1];
+            self.deltas[PATTERN_DELTAS - 1] = (delta, 1);
         }
     }
 
-    /// Best delta and its confidence (0..=1).
+    /// Best delta (the last of equals) and its confidence (0..=1).
     fn best(&self) -> Option<(i8, f64)> {
-        let &(d, c) = self.deltas.iter().max_by_key(|e| e.1)?;
+        let &(d, c) = self.deltas[..self.len as usize]
+            .iter()
+            .max_by_key(|e| e.1)?;
         if self.total == 0 {
             return None;
         }
@@ -60,15 +70,17 @@ impl Pattern {
 /// The SPP prefetcher.
 #[derive(Debug)]
 pub struct Spp {
-    pages: HashMap<u64, PageEntry>,
-    patterns: HashMap<u16, Pattern>,
-    page_cap: usize,
+    pages: FastMap<u64, PageEntry>,
+    /// Indexed by the 12-bit signature; an untrained pattern is empty.
+    patterns: Box<[Pattern]>,
 }
 
 /// Lookahead stops when compounded confidence drops below this.
 const CONF_THRESHOLD: f64 = 0.4;
-/// Maximum lookahead depth (prefetch degree bound).
-const MAX_DEPTH: usize = 4;
+/// Pages tracked at once; a new page beyond this clears the table.
+const PAGE_CAP: usize = 4096;
+/// Signatures are 12 bits wide.
+const SIGNATURES: usize = 1 << 12;
 /// Signature update: `sig = (sig << 3) ^ delta`, 12 bits.
 fn update_signature(sig: u16, delta: i8) -> u16 {
     ((sig << 3) ^ (delta as u16 & 0x3F)) & 0xFFF
@@ -78,9 +90,8 @@ impl Spp {
     /// Create an SPP prefetcher.
     pub fn new() -> Self {
         Spp {
-            pages: HashMap::new(),
-            patterns: HashMap::new(),
-            page_cap: 4096,
+            pages: FastMap::default(),
+            patterns: vec![Pattern::default(); SIGNATURES].into_boxed_slice(),
         }
     }
 }
@@ -96,51 +107,51 @@ impl Prefetcher for Spp {
         "SPP"
     }
 
-    fn on_access(&mut self, ctx: &PrefetchContext) -> Vec<PrefetchRequest> {
+    fn on_access(&mut self, ctx: &PrefetchContext) -> Candidates {
         let page = ctx.line.raw() >> 6;
         let offset = (ctx.line.raw() & 0x3F) as u8;
+        let fresh = PageEntry {
+            signature: 0,
+            last_offset: offset,
+        };
 
-        if self.pages.len() >= self.page_cap && !self.pages.contains_key(&page) {
-            self.pages.clear();
-        }
-        let (signature, trained) = match self.pages.get_mut(&page) {
-            Some(e) => {
+        let full = self.pages.len() >= PAGE_CAP;
+        let (signature, trained) = match self.pages.entry(page) {
+            Entry::Occupied(o) => {
+                let e = o.into_mut();
                 let delta = offset as i8 - e.last_offset as i8;
                 if delta == 0 {
                     (e.signature, false)
                 } else {
                     let old_sig = e.signature;
-                    self.patterns.entry(old_sig).or_default().train(delta);
+                    self.patterns[old_sig as usize].train(delta);
                     e.signature = update_signature(old_sig, delta);
                     e.last_offset = offset;
                     (e.signature, true)
                 }
             }
-            None => {
-                self.pages.insert(
-                    page,
-                    PageEntry {
-                        signature: 0,
-                        last_offset: offset,
-                    },
-                );
+            Entry::Vacant(v) if !full => {
+                v.insert(fresh);
+                (0, false)
+            }
+            Entry::Vacant(_) => {
+                // A new page with the table full starts a new generation.
+                self.pages.clear();
+                self.pages.insert(page, fresh);
                 (0, false)
             }
         };
+        let mut out = Candidates::new();
         if !trained && signature == 0 {
-            return Vec::new();
+            return out;
         }
 
-        // Lookahead down the predicted path.
-        let mut out = Vec::new();
+        // Lookahead down the predicted path, one candidate per step.
         let mut sig = signature;
         let mut conf = 1.0f64;
         let mut off = offset as i64;
-        for _ in 0..MAX_DEPTH {
-            let Some(pattern) = self.patterns.get(&sig) else {
-                break;
-            };
-            let Some((delta, c)) = pattern.best() else {
+        for _ in 0..MAX_DEGREE {
+            let Some((delta, c)) = self.patterns[sig as usize].best() else {
                 break;
             };
             conf *= c;
@@ -179,7 +190,7 @@ mod tests {
     fn sequential_pattern_is_learned() {
         let mut p = Spp::new();
         // Train on page 0 with +1 deltas.
-        let mut reqs = Vec::new();
+        let mut reqs = Candidates::new();
         for i in 0..20 {
             reqs = p.on_access(&ctx(i));
         }

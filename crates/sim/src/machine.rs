@@ -24,8 +24,6 @@ use atc_workloads::{Instr, MemOp, Workload};
 /// STLB: the prefetch "doesn't proceed till the STLB fills" (§III's
 /// late-IPCP effect), approximated by a typical walk latency.
 const PREFETCH_STLB_MISS_DELAY: u64 = 120;
-/// Cap on prefetch candidates issued per demand access.
-const MAX_PREFETCH_PER_ACCESS: usize = 4;
 
 /// Instructions between [`CancelToken`] polls in the run loop
 /// (`multicore::run_interleaved`). Coarse enough to amortize the atomic
@@ -422,7 +420,8 @@ pub(crate) fn do_walk(
 }
 
 /// Issue prefetch candidates produced by a prefetcher observing `core`'s
-/// demand stream.
+/// demand stream: the [`Candidates`](atc_prefetch::Candidates) of one
+/// access, so at most [`atc_prefetch::MAX_DEGREE`] of them.
 pub(crate) fn issue_prefetches(
     core: &mut CoreCtx,
     uncore: &mut Uncore,
@@ -431,7 +430,7 @@ pub(crate) fn issue_prefetches(
     cycle: u64,
     from_l1: bool,
 ) {
-    for req in reqs.iter().take(MAX_PREFETCH_PER_ACCESS) {
+    for req in reqs {
         match *req {
             PrefetchRequest::Phys(line) => {
                 if core.l2c.contains(line) {

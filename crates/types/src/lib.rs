@@ -21,6 +21,8 @@
 //!   statistics instead of hanging on them.
 //! * [`error`] — the typed [`error::SimError`] every fallible layer of the
 //!   simulator reports instead of panicking.
+//! * [`hash`] — [`hash::FastMap`], a `HashMap` on an in-tree Fx-style
+//!   hasher for the model tables probed on every simulated access.
 //! * [`rng`] — the in-tree deterministic [`rng::SimRng`]
 //!   (SplitMix64-seeded xoshiro256**) used by workloads and property
 //!   tests, keeping the workspace free of external dependencies.
@@ -39,6 +41,7 @@ pub mod addr;
 pub mod cancel;
 pub mod config;
 pub mod error;
+pub mod hash;
 pub mod rng;
 
 pub use access::{AccessClass, AccessInfo, MemLevel, SignatureMode};
@@ -46,4 +49,5 @@ pub use addr::{LineAddr, Pfn, PhysAddr, PtLevel, VirtAddr, Vpn, PAGE_SHIFT, PAGE
 pub use cancel::CancelToken;
 pub use config::{CacheLevelConfig, CoreConfig, DramConfig, MachineConfig, PscConfig, TlbConfig};
 pub use error::{DeadlockDiag, SimError};
+pub use hash::FastMap;
 pub use rng::SimRng;

@@ -484,6 +484,165 @@ fn spatial_prefetchers_never_cross_pages() {
     }
 }
 
+/// An independent reference SPP: the model as first written, on `std`
+/// SipHash maps with a heap `Vec` of deltas per signature, sharing
+/// nothing with `atc_prefetch::Spp` but the request type. It counts
+/// evictions among tied weakest deltas and lookups among tied strongest
+/// ones, so the test can show it exercised both tie-breaks.
+#[derive(Default)]
+struct RefSpp {
+    /// page → (signature, last offset).
+    pages: HashMap<u64, (u16, u8)>,
+    patterns: HashMap<u16, RefPattern>,
+    tied_evictions: u64,
+    tied_best: u64,
+}
+
+#[derive(Default)]
+struct RefPattern {
+    deltas: Vec<(i8, u32)>,
+    total: u32,
+}
+
+impl RefSpp {
+    fn train(&mut self, sig: u16, delta: i8) {
+        let p = self.patterns.entry(sig).or_default();
+        p.total += 1;
+        if let Some(e) = p.deltas.iter_mut().find(|e| e.0 == delta) {
+            e.1 += 1;
+            return;
+        }
+        if p.deltas.len() >= 4 {
+            // The first of the weakest goes; the last entry takes its slot.
+            let (i, &(_, c)) = p
+                .deltas
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.1)
+                .unwrap();
+            if p.deltas.iter().filter(|e| e.1 == c).count() > 1 {
+                self.tied_evictions += 1;
+            }
+            p.deltas.swap_remove(i);
+        }
+        p.deltas.push((delta, 1));
+    }
+
+    /// The last of the strongest deltas and its confidence.
+    fn best(&mut self, sig: u16) -> Option<(i8, f64)> {
+        let p = self.patterns.get(&sig)?;
+        let &(d, c) = p.deltas.iter().max_by_key(|e| e.1)?;
+        if p.deltas.iter().filter(|e| e.1 == c).count() > 1 {
+            self.tied_best += 1;
+        }
+        Some((d, c as f64 / p.total as f64))
+    }
+
+    fn on_access(&mut self, line: u64) -> Vec<PrefetchRequest> {
+        let sig_of = |sig: u16, delta: i8| ((sig << 3) ^ (delta as u16 & 0x3F)) & 0xFFF;
+        let (page, offset) = (line >> 6, (line & 0x3F) as u8);
+        if self.pages.len() >= 4096 && !self.pages.contains_key(&page) {
+            self.pages.clear();
+        }
+        let (sig, trained) = match self.pages.get(&page).copied() {
+            None => {
+                self.pages.insert(page, (0, offset));
+                (0, false)
+            }
+            Some((sig, last)) if offset == last => (sig, false),
+            Some((sig, last)) => {
+                let delta = offset as i8 - last as i8;
+                self.train(sig, delta);
+                let next = sig_of(sig, delta);
+                self.pages.insert(page, (next, offset));
+                (next, true)
+            }
+        };
+        let mut out = Vec::new();
+        if !trained && sig == 0 {
+            return out;
+        }
+        let (mut sig, mut conf, mut off) = (sig, 1.0f64, offset as i64);
+        for _ in 0..4 {
+            let Some((delta, c)) = self.best(sig) else {
+                break;
+            };
+            conf *= c;
+            off += delta as i64;
+            if conf < 0.4 || !(0..64).contains(&off) {
+                break;
+            }
+            out.push(PrefetchRequest::Phys(LineAddr::new(
+                (page << 6) | off as u64,
+            )));
+            sig = sig_of(sig, delta);
+        }
+        out
+    }
+}
+
+#[test]
+fn spp_matches_reference_model() {
+    let (mut emitted, mut tied_evictions, mut tied_best, mut page_clears) = (0, 0, 0, 0);
+    for case in 0..CASES {
+        let mut rng = rng_for(14, case);
+        let mut spp = atc_prefetch::Spp::new();
+        let mut reference = RefSpp::default();
+        // Per-case stream shape: 0 random lines over 8192 pages (enough
+        // distinct pages to clear the page table), 1 per-page strides,
+        // 2 a random walk over a few pages drawing from six deltas, so
+        // signatures see more than four deltas and tied counters.
+        let kind = case % 3;
+        let n = rand_len(&mut rng, 2000, 9000);
+        let mut cursor = [0u64; 8];
+        let strides: Vec<u64> = (0..8).map(|_| 1 + rng.next_below(3)).collect();
+        let mut pages_seen = HashSet::new();
+        for i in 0..n {
+            let line = match kind {
+                0 => rng.next_below(1 << 19),
+                1 => {
+                    let p = rng.next_below(8) as usize;
+                    cursor[p] = (cursor[p] + strides[p]) % 64;
+                    ((p as u64 + 100) << 6) | cursor[p]
+                }
+                _ => {
+                    let p = rng.next_below(4) as usize;
+                    let delta = [1u64, 2, 3, 5, 62, 63][rng.next_below(6) as usize];
+                    cursor[p] = (cursor[p] + delta) % 64;
+                    ((p as u64 + 7) << 6) | cursor[p]
+                }
+            };
+            if pages_seen.insert(line >> 6) && pages_seen.len() > 4096 {
+                pages_seen.clear();
+                pages_seen.insert(line >> 6);
+                page_clears += 1;
+            }
+            let ctx = PrefetchContext {
+                ip: 3,
+                line: LineAddr::new(line),
+                vaddr: VirtAddr::new(line << 6),
+                hit: false,
+            };
+            let want = reference.on_access(line);
+            let got = spp.on_access(&ctx);
+            assert_eq!(&*got, &want[..], "case {case} access {i} line {line}");
+            emitted += want.len();
+        }
+        tied_evictions += reference.tied_evictions;
+        tied_best += reference.tied_best;
+    }
+    assert!(emitted > 1000, "streams too quiet: {emitted} candidates");
+    assert!(
+        tied_evictions > 100,
+        "tied evictions barely exercised: {tied_evictions}"
+    );
+    assert!(
+        tied_best > 100,
+        "best-delta ties barely exercised: {tied_best}"
+    );
+    assert!(page_clears > 0, "page-table clear never exercised");
+}
+
 #[test]
 fn isb_only_predicts_previously_seen_lines() {
     for case in 0..CASES {
