@@ -153,7 +153,7 @@ echo "==> fault-plan smoke (seeded panic+transient+stall+torn, then heal)"
 rm -f target/ci-fault.jsonl target/ci-clean.jsonl
 $SUITE $SUITE_FLAGS --figures fig14,fig16 --jobs 4 \
     --manifest target/ci-clean.jsonl > target/ci-clean.out
-$SUITE $SUITE_FLAGS --figures fig14,fig16 --jobs 4 --flush-every 1 \
+$SUITE $SUITE_FLAGS --figures fig14,fig16 --jobs 4 \
     --retries 2 --backoff-ms 1 --deadline-ms 60000 \
     --fault-plan "7:panic@0.4,transient@0.4,stall5@0.4,torn@0.5" \
     --manifest target/ci-fault.jsonl > /dev/null || true
@@ -164,16 +164,21 @@ diff target/ci-clean.out target/ci-healed.out
 echo "==> SIGKILL resume smoke (kill -9 mid-sweep, resume byte-identical)"
 # The crash point is fault-plan-chosen: fig16 schedules tempo/* jobs
 # ahead of base/*, so stalling key=base/ parks the tail of the sweep
-# while the tempo records flush (--flush-every 1); we kill -9 once the
-# manifest shows progress, then --resume must complete the sweep with
-# stdout byte-identical to the clean run above. The same scenario runs
-# as a cargo test (crates/experiments/tests/crash_resume.rs); this
-# smoke exercises it against the release binary with a real kill -9.
-rm -f target/ci-sigkill.jsonl
+# while the tempo records are written; we kill -9 once the manifest
+# shows progress, then --resume must complete the sweep with stdout
+# byte-identical to the clean run above. Every record is written
+# through as its job completes, so each of the L newline-terminated
+# lines the kill left is a usable record (the plan tears nothing, and
+# no job fails): the resume must execute exactly TOTAL - L jobs, where
+# TOTAL is the job count the killed run announced on stderr. The same
+# scenario runs as a cargo test
+# (crates/experiments/tests/crash_resume.rs); this smoke exercises it
+# against the release binary with a real kill -9.
+rm -f target/ci-sigkill.jsonl target/ci-sigkill.err
 cargo build --offline --release -q -p atc-experiments --bin suite
 target/release/suite $SUITE_FLAGS --figures fig14,fig16 --jobs 2 \
-    --flush-every 1 --fault-plan "42:stall30000@key=base/" \
-    --manifest target/ci-sigkill.jsonl > /dev/null 2>&1 &
+    --fault-plan "42:stall30000@key=base/" \
+    --manifest target/ci-sigkill.jsonl > /dev/null 2> target/ci-sigkill.err &
 SUITE_PID=$!
 tries=0
 until [ -s target/ci-sigkill.jsonl ]; do
@@ -183,7 +188,14 @@ until [ -s target/ci-sigkill.jsonl ]; do
 done
 kill -9 "$SUITE_PID"
 wait "$SUITE_PID" 2>/dev/null || true
+TOTAL=$(sed -n 's/^suite: \([0-9][0-9]*\) jobs across .*/\1/p' target/ci-sigkill.err)
+L=$(wc -l < target/ci-sigkill.jsonl)
+[ -n "$TOTAL" ] && [ "$L" -lt "$TOTAL" ] || {
+    echo "bad SIGKILL state: TOTAL=$TOTAL L=$L"
+    exit 1
+}
 $SUITE $SUITE_FLAGS --figures fig14,fig16 --jobs 2 --resume --check \
+    --assert-executed $((TOTAL - L)) \
     --manifest target/ci-sigkill.jsonl > target/ci-sigkill.out
 diff target/ci-clean.out target/ci-sigkill.out
 

@@ -42,7 +42,7 @@ fn main() {
         PolicyChoice::TShip,
     ] {
         reporter.bench(&format!("policy/{}", policy.label()), 20, || {
-            let mut cache = Cache::new("bench", 1024, 8, 10, 16, policy.build(1024, 8))
+            let mut cache = Cache::new("bench", 1024, 8, 10, 16, policy.build_impl(1024, 8))
                 .expect("valid bench geometry");
             drive(&mut cache, 20_000)
         });

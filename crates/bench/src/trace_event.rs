@@ -4,15 +4,11 @@
 //! `traceEvents` array of complete (`ph:"X"`), instant (`ph:"i"`) and
 //! metadata (`ph:"M"`) events — which both `chrome://tracing` and
 //! [ui.perfetto.dev](https://ui.perfetto.dev) load directly. The
-//! harness maps scheduler lifecycle events onto one track (`tid`) per
-//! worker; [`TraceEvents::push_machine_spans`] maps a simulator
-//! telemetry snapshot's page-walk and replay spans onto their own
-//! process, with core cycles rendered as microsecond ticks.
+//! suite maps the harness's job lifecycle events onto one track (`tid`)
+//! per worker.
 //!
 //! Timestamps (`ts`) and durations (`dur`) are microseconds, per the
 //! trace-event spec.
-
-use atc_obs::TelemetrySnapshot;
 
 use crate::json::Value;
 
@@ -121,47 +117,6 @@ impl TraceEvents {
         self.events.push(Value::Object(ev));
     }
 
-    /// Map a simulator telemetry snapshot's sampled spans onto process
-    /// `pid`: page walks on track 1 (one span per walk, per-hop service
-    /// levels in `args`) and replay windows on track 2 (issue →
-    /// outcome, with the outcome label). Core cycles are written
-    /// directly as microsecond ticks — the timeline is meaningful
-    /// relative to itself, not to wall time.
-    pub fn push_machine_spans(&mut self, snap: &TelemetrySnapshot, pid: u32) {
-        self.process_name(pid, "machine (cycles as us)");
-        self.thread_name(pid, 1, "page walks");
-        self.thread_name(pid, 2, "replay windows");
-        for w in &snap.walk_spans {
-            let args = w
-                .hops()
-                .iter()
-                .enumerate()
-                .map(|(i, h)| {
-                    (
-                        format!("hop{i}"),
-                        Value::String(format!(
-                            "{:?} via {:?} ({} cyc)",
-                            h.level, h.served, h.latency
-                        )),
-                    )
-                })
-                .collect();
-            self.complete("walk", "walk", pid, 1, w.start, w.latency(), args);
-        }
-        for r in &snap.replay_spans {
-            let dur = r.outcome_cycle.saturating_sub(r.walk_done);
-            let args = vec![
-                ("line".into(), Value::String(format!("{:#x}", r.line))),
-                ("served".into(), Value::String(format!("{:?}", r.served))),
-                (
-                    "outcome".into(),
-                    Value::String(r.outcome.label().to_string()),
-                ),
-            ];
-            self.complete(r.outcome.label(), "replay", pid, 2, r.walk_done, dur, args);
-        }
-    }
-
     /// Render the trace as the JSON object format Perfetto loads:
     /// `{"traceEvents":[...],"displayTimeUnit":"ms"}`.
     pub fn render(&self) -> String {
@@ -204,41 +159,5 @@ mod tests {
         assert_eq!(span.get("ts").and_then(Value::as_f64), Some(100.0));
         assert_eq!(span.get("dur").and_then(Value::as_f64), Some(250.0));
         assert_eq!(span.get("tid").and_then(Value::as_f64), Some(3.0));
-    }
-
-    #[test]
-    fn machine_spans_map_to_two_tracks() {
-        use atc_obs::{ReplayOutcome, ReplaySpan, WalkHop, WalkSpan, MAX_WALK_HOPS};
-        let snap = TelemetrySnapshot {
-            counters: vec![],
-            histograms: vec![],
-            span_sample_every: 1,
-            walk_spans: vec![WalkSpan {
-                start: 10,
-                end: 64,
-                hops: [WalkHop::PAD; MAX_WALK_HOPS],
-                hop_count: 0,
-            }],
-            replay_spans: vec![ReplaySpan {
-                line: 0x40,
-                walk_done: 64,
-                fill_done: 90,
-                served: atc_types::MemLevel::L2c,
-                outcome: ReplayOutcome::Reused,
-                outcome_cycle: 120,
-            }],
-            spans_dropped: 0,
-        };
-        let mut t = TraceEvents::new();
-        t.push_machine_spans(&snap, 7);
-        // 3 metadata + 1 walk + 1 replay.
-        assert_eq!(t.len(), 5);
-        let doc = json::parse(&t.render()).expect("valid JSON");
-        let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
-        let walk = events
-            .iter()
-            .find(|e| e.get("cat").and_then(Value::as_str) == Some("walk"))
-            .expect("walk span present");
-        assert_eq!(walk.get("dur").and_then(Value::as_f64), Some(54.0));
     }
 }

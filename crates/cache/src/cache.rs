@@ -1,7 +1,7 @@
 //! The set-associative cache core.
 //!
 //! [`Cache`] stores tags/state and delegates replacement to a
-//! [`ReplacementPolicy`]. Timing is
+//! [`ReplacementPolicy`](crate::policy::ReplacementPolicy). Timing is
 //! call-based: lookups and fills carry the current cycle, and the MSHR
 //! file keeps in-flight misses visible so later requests merge with them.
 //!
@@ -27,7 +27,7 @@ use atc_stats::ClassCounters;
 use atc_types::{AccessClass, AccessInfo, LineAddr, SimError};
 
 use crate::mshr::Mshr;
-use crate::policy::{PolicyImpl, ReplacementPolicy};
+use crate::policy::PolicyImpl;
 
 /// Tag value marking an empty (invalid) way. Physical line addresses are
 /// bounded far below this (57-bit VA space, frame allocator counts up),
@@ -215,25 +215,9 @@ impl Cache {
         self.latency
     }
 
-    /// Number of sets.
-    pub fn num_sets(&self) -> usize {
-        self.sets
-    }
-
-    /// Associativity.
-    pub fn num_ways(&self) -> usize {
-        self.ways
-    }
-
     /// The replacement policy's reported name.
     pub fn policy_name(&self) -> &'static str {
         self.policy.name()
-    }
-
-    /// Mutable access to the policy (for T-policy wrappers that need to
-    /// poke RRPVs after fills — see `atc-core`).
-    pub fn policy_mut(&mut self) -> &mut dyn ReplacementPolicy {
-        self.policy.as_dyn_mut()
     }
 
     /// Attach a recall-distance probe restricted to the given classes

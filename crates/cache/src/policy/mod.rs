@@ -113,17 +113,6 @@ impl PolicyImpl {
     pub fn on_evict(&mut self, set: usize, way: usize) {
         dispatch!(self, p => p.on_evict(set, way));
     }
-
-    /// The policy as a trait object (T-policy helpers, tests).
-    pub fn as_dyn_mut(&mut self) -> &mut dyn ReplacementPolicy {
-        match self {
-            PolicyImpl::Lru(p) => p,
-            PolicyImpl::Srrip(p) => p,
-            PolicyImpl::Drrip(p) => p,
-            PolicyImpl::Ship(p) => p,
-            PolicyImpl::Dyn(p) => p.as_mut(),
-        }
-    }
 }
 
 impl From<Lru> for PolicyImpl {

@@ -36,7 +36,7 @@ pub use ideal::IdealConfig;
 pub use tempo::{Tempo, TempoPrefetch};
 pub use tpolicy::{TDrrip, THawkeye, TShip};
 
-use atc_cache::policy::{Drrip, Hawkeye, Lru, PolicyImpl, ReplacementPolicy, Ship, Srrip};
+use atc_cache::policy::{Drrip, Hawkeye, Lru, PolicyImpl, Ship, Srrip};
 use atc_types::SignatureMode;
 
 /// The paper's cumulative enhancement ladder (Fig 14).
@@ -136,37 +136,11 @@ pub enum PolicyChoice {
 }
 
 impl PolicyChoice {
-    /// Instantiate the policy for a `sets × ways` cache.
-    pub fn build(self, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
-        match self {
-            PolicyChoice::Lru => Box::new(Lru::new(sets, ways)),
-            PolicyChoice::Srrip => Box::new(Srrip::new(sets, ways)),
-            PolicyChoice::Drrip => Box::new(Drrip::new(sets, ways)),
-            PolicyChoice::Ship => Box::new(Ship::new(sets, ways)),
-            PolicyChoice::Hawkeye => Box::new(Hawkeye::new(sets, ways)),
-            PolicyChoice::ShipNewSign => {
-                Box::new(Ship::with_mode(sets, ways, SignatureMode::PerClass))
-            }
-            PolicyChoice::TShip => Box::new(TShip::new(sets, ways)),
-            PolicyChoice::THawkeye => Box::new(THawkeye::new(sets, ways)),
-            PolicyChoice::TDrrip => Box::new(TDrrip::new(sets, ways)),
-            PolicyChoice::TDrripReplayZero => Box::new(TDrrip::with_replay_rrpv(sets, ways, 0)),
-            PolicyChoice::TShipReplayZero => {
-                Box::new(TShip::with_forced_replay_rrpv(sets, ways, 0))
-            }
-            PolicyChoice::TShipPinOnly => Box::new(TShip::with_signature_mode(
-                sets,
-                ways,
-                SignatureMode::IpOnly,
-            )),
-        }
-    }
-
-    /// Instantiate the policy behind the cache core's static-dispatch
-    /// wrapper: the stock policies land in their concrete
-    /// [`PolicyImpl`] variants (keeping every policy callback on the
-    /// simulator's hot path inlinable), the T-policies and Hawkeye fall
-    /// back to virtual dispatch.
+    /// Instantiate the policy for a `sets × ways` cache, behind the
+    /// cache core's static-dispatch wrapper: the stock policies land in
+    /// their concrete [`PolicyImpl`] variants (keeping every policy
+    /// callback on the simulator's hot path inlinable), the T-policies
+    /// and Hawkeye fall back to virtual dispatch.
     pub fn build_impl(self, sets: usize, ways: usize) -> PolicyImpl {
         match self {
             PolicyChoice::Lru => Lru::new(sets, ways).into(),
@@ -176,7 +150,21 @@ impl PolicyChoice {
             PolicyChoice::ShipNewSign => {
                 Ship::with_mode(sets, ways, SignatureMode::PerClass).into()
             }
-            _ => self.build(sets, ways).into(),
+            PolicyChoice::Hawkeye => PolicyImpl::Dyn(Box::new(Hawkeye::new(sets, ways))),
+            PolicyChoice::TShip => PolicyImpl::Dyn(Box::new(TShip::new(sets, ways))),
+            PolicyChoice::THawkeye => PolicyImpl::Dyn(Box::new(THawkeye::new(sets, ways))),
+            PolicyChoice::TDrrip => PolicyImpl::Dyn(Box::new(TDrrip::new(sets, ways))),
+            PolicyChoice::TDrripReplayZero => {
+                PolicyImpl::Dyn(Box::new(TDrrip::with_replay_rrpv(sets, ways, 0)))
+            }
+            PolicyChoice::TShipReplayZero => {
+                PolicyImpl::Dyn(Box::new(TShip::with_forced_replay_rrpv(sets, ways, 0)))
+            }
+            PolicyChoice::TShipPinOnly => PolicyImpl::Dyn(Box::new(TShip::with_signature_mode(
+                sets,
+                ways,
+                SignatureMode::IpOnly,
+            ))),
         }
     }
 
@@ -233,7 +221,7 @@ mod tests {
             PolicyChoice::TShipReplayZero,
             PolicyChoice::TShipPinOnly,
         ] {
-            let b = p.build(64, 8);
+            let b = p.build_impl(64, 8);
             assert!(!b.name().is_empty());
             assert!(!p.label().is_empty());
         }

@@ -14,7 +14,7 @@
 //!       [--figures fig14,fig17,...] [--retries N]
 //!       [--max-jobs N] [--assert-executed N]
 //!       [--fault-plan SEED:SPEC] [--deadline-ms N] [--backoff-ms N]
-//!       [--flush-every N] [--fsync] [--retry-failed]
+//!       [--fsync] [--retry-failed]
 //!       [--progress[=INTERVAL]] [--telemetry-out PATH]
 //!       [--trace-out PATH]
 //! ```
@@ -23,7 +23,9 @@
 //! * `--resume`          reuse completed jobs from the manifest
 //! * `--figures a,b`     run a subset of sweeps (default: all; a name
 //!   given twice is an error)
-//! * `--retries N`       retry budget for transient (deadlock) failures
+//! * `--retries N`       retry budget for transient failures (only
+//!   injected ones: a simulation is deterministic, so its own failures
+//!   are attempted once)
 //! * `--max-jobs N`      stop after scheduling the first N jobs (CI
 //!   resume smoke: run half, rerun with `--resume`)
 //! * `--assert-executed N` with `--check`: fail unless exactly N jobs
@@ -35,9 +37,8 @@
 //!   that exceed it, salvaging partial metrics
 //! * `--backoff-ms N`    base delay for seeded exponential backoff
 //!   between transient retries (default 0 = immediate)
-//! * `--flush-every N`   manifest records buffered per write batch
-//!   (default 32; 1 = persist every record immediately)
-//! * `--fsync`           `sync_data` the manifest at checkpoints
+//! * `--fsync`           `sync_data` the manifest at checkpoints (every
+//!   record is written to the file as its job completes either way)
 //! * `--retry-failed`    with `--resume`: re-execute failed/panicked
 //!   records instead of treating them as terminal
 //! * `--progress[=INTERVAL]` live stderr progress line each sampling
@@ -48,8 +49,9 @@
 //!   a checksummed `atc-telemetry-stream-v1` JSONL file (validated by
 //!   `check_bench_json --stream`; padded to at least 4 epochs at stop)
 //! * `--trace-out PATH`  export the job lifecycle timeline (claim /
-//!   start / retry / timeout / cancel / finish / fault / flush, one
-//!   track per worker) as Chrome/Perfetto trace-event JSON
+//!   start / retry / timeout / cancel / finish / fault, one track per
+//!   worker, plus manifest recovery on its own track) as
+//!   Chrome/Perfetto trace-event JSON
 //!
 //! Tables go to stdout; progress, timing, and the end-of-run fault
 //! tally go to stderr — stdout stays byte-identical across resumes,
@@ -84,7 +86,6 @@ struct SuiteArgs {
     fault_plan: Option<String>,
     deadline_ms: Option<u64>,
     backoff_ms: u64,
-    flush_every: Option<usize>,
     fsync: bool,
     retry_failed: bool,
     progress: Option<Duration>,
@@ -104,7 +105,6 @@ impl Default for SuiteArgs {
             fault_plan: None,
             deadline_ms: None,
             backoff_ms: 0,
-            flush_every: None,
             fsync: false,
             retry_failed: false,
             progress: None,
@@ -174,10 +174,6 @@ fn split_args(args: impl Iterator<Item = String>) -> Result<(SuiteArgs, Vec<Stri
                 suite.deadline_ms = Some(numeric("--deadline-ms", value("--deadline-ms")?)?)
             }
             "--backoff-ms" => suite.backoff_ms = numeric("--backoff-ms", value("--backoff-ms")?)?,
-            "--flush-every" => {
-                suite.flush_every =
-                    Some(numeric("--flush-every", value("--flush-every")?)? as usize)
-            }
             "--fsync" => suite.fsync = true,
             "--retry-failed" => suite.retry_failed = true,
             "--progress" => suite.progress = Some(Duration::from_millis(250)),
@@ -195,7 +191,8 @@ fn split_args(args: impl Iterator<Item = String>) -> Result<(SuiteArgs, Vec<Stri
 /// Drain the lifecycle event log into a Perfetto-loadable trace file:
 /// one track per worker (plus a manifest track), each
 /// `start → retry/cancel/finish` attempt rendered as a complete span
-/// and everything else (claims, timeouts, faults, flushes) as instants.
+/// and everything else (claims, timeouts, faults, recoveries) as
+/// instants.
 /// Returns the number of trace events written.
 fn write_trace(path: &str, log: &EventLog) -> std::io::Result<usize> {
     let events = log.drain();
@@ -318,7 +315,7 @@ fn main() -> ExitCode {
                  [--instructions N] [--benchmarks a,b,c] [--jobs N] [--csv] [--check] \
                  [--manifest PATH] [--resume] [--figures a,b] [--retries N] \
                  [--max-jobs N] [--assert-executed N] [--fault-plan SEED:SPEC] \
-                 [--deadline-ms N] [--backoff-ms N] [--flush-every N] [--fsync] \
+                 [--deadline-ms N] [--backoff-ms N] [--fsync] \
                  [--retry-failed] [--progress[=INTERVAL]] [--telemetry-out PATH] \
                  [--trace-out PATH]"
             );
@@ -363,17 +360,6 @@ fn main() -> ExitCode {
         }
     };
 
-    // Lifecycle event capture only costs anything when a trace export
-    // was requested. Attached straight after the manifest opens, so
-    // recovery diagnostics (corrupt/duplicate/torn records) also land
-    // on the event log as `recover` instants.
-    let events = if suite.trace_out.is_some() {
-        Some(Arc::new(EventLog::new(
-            atc_harness::events::DEFAULT_EVENT_CAPACITY,
-        )))
-    } else {
-        None
-    };
     let mut manifest = match Manifest::open(&suite.manifest, suite.resume) {
         Ok(m) => m,
         Err(e) => {
@@ -381,12 +367,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(log) = &events {
-        manifest = manifest.with_events(Arc::clone(log));
-    }
-    if let Some(n) = suite.flush_every {
-        manifest = manifest.with_flush_every(n);
-    }
     manifest = manifest.with_fsync(suite.fsync);
     if let Some(plan) = &fault {
         manifest = manifest.with_faults(plan.clone());
@@ -402,10 +382,16 @@ fn main() -> ExitCode {
         scheduler = scheduler.with_faults(plan.clone());
         eprintln!("suite: fault plan active (seed {})", plan.seed());
     }
-    if let Some(log) = &events {
-        scheduler = scheduler.with_events(Arc::clone(log));
-    }
-    let progress = Arc::new(Progress::new());
+    // Lifecycle events are only stored when a trace export was
+    // requested; the counters are kept either way.
+    let events = suite
+        .trace_out
+        .is_some()
+        .then(|| Arc::new(EventLog::default()));
+    let progress = Arc::new(match &events {
+        Some(log) => Progress::traced(Arc::clone(log)),
+        None => Progress::new(),
+    });
     eprintln!(
         "suite: {} jobs across {} sweeps on {} workers (manifest: {})",
         jobs.len(),
@@ -468,12 +454,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Fold what recovery repaired (plus run-time supersedes) into the
-    // progress counters before the sampler takes its final snapshot,
-    // then print the end-of-run fault tally.
-    let recovery = manifest.recovery().clone();
-    progress.corrupt_records(recovery.corrupt as u64);
-    progress.duplicate_records(recovery.duplicates as u64);
     if let Some(sampler) = sampler {
         match sampler.stop() {
             Ok(epochs) => {
@@ -508,19 +488,14 @@ fn main() -> ExitCode {
     );
     eprintln!(
         "suite: fault tally: {} retried, {} timed out, {} panicked, {} corrupt record(s) \
-         skipped, {} duplicate record(s) superseded{}{}",
+         skipped, {} duplicate record(s) superseded{}",
         counter("harness.jobs_retried"),
         counter("harness.jobs_timeout"),
         counter("harness.jobs_panicked"),
-        recovery.corrupt,
-        recovery.duplicates,
-        if recovery.torn_tail {
+        counter("harness.corrupt_records"),
+        counter("harness.duplicate_records"),
+        if manifest.recovery().torn_tail {
             ", torn manifest tail truncated"
-        } else {
-            ""
-        },
-        if manifest.pending() > 0 {
-            " (unflushed records pending!)"
         } else {
             ""
         },

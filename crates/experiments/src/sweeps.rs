@@ -364,15 +364,15 @@ impl SweepJob {
     ///
     /// `cancel` is polled cooperatively inside the access loops: the
     /// scheduler's deadline watchdog cancels it to reclaim a runaway
-    /// job, which then fails *permanently* (a retry would hit the same
-    /// deadline) with whatever partial statistics the run had produced.
+    /// job, which then fails with whatever partial statistics the run
+    /// had produced.
     ///
     /// # Errors
     ///
-    /// Simulation failures become [`JobError`]s — deadlocks transient
-    /// (retryable), cancellations and everything else permanent — with
-    /// partial statistics salvaged when the machine had started
-    /// executing.
+    /// Every simulation failure becomes a *permanent* [`JobError`]: a
+    /// run is deterministic, so a retry would deadlock at the same cycle
+    /// or hit the same deadline. Partial statistics are salvaged when
+    /// the machine had started executing.
     pub fn run(&self, traces: &TraceCache, cancel: &CancelToken) -> Result<Metrics, JobError> {
         let streams = self.streams();
         match self {
@@ -389,15 +389,11 @@ impl SweepJob {
                 match run() {
                     Ok(stats) => Ok(metrics_of(&stats)),
                     Err(failure) => {
-                        let mut err = JobError {
-                            message: failure.error.to_string(),
-                            transient: failure.error.is_transient(),
-                            partial: None,
-                        };
-                        if let Some(partial) = &failure.partial {
-                            err.partial = Some(metrics_of(partial));
-                        }
-                        Err(err)
+                        let err = JobError::permanent(failure.error.to_string());
+                        Err(match &failure.partial {
+                            Some(partial) => err.with_partial(metrics_of(partial)),
+                            None => err,
+                        })
                     }
                 }
             }
@@ -405,7 +401,7 @@ impl SweepJob {
                 let mut w0 = traces.replay(streams[0]);
                 let mut w1 = traces.replay(streams[1]);
                 let stats = run_smt(cfg, &mut w0, &mut w1, budget.warmup, budget.measure, cancel)
-                    .map_err(sim_job_error)?;
+                    .map_err(|e| JobError::permanent(e.to_string()))?;
                 let mut m = Metrics::new();
                 for (i, thread) in stats.threads.iter().enumerate() {
                     m.push(&format!("cycles{i}"), thread.cycles as f64);
@@ -419,7 +415,7 @@ impl SweepJob {
                     .map(|&k| Box::new(traces.replay(k)) as Box<dyn Workload>)
                     .collect();
                 let cores = run_multicore(cfg, &mut wls, budget.warmup, budget.measure, cancel)
-                    .map_err(sim_job_error)?;
+                    .map_err(|e| JobError::permanent(e.to_string()))?;
                 let mut m = Metrics::new();
                 for (i, core) in cores.iter().enumerate() {
                     m.push(&format!("cycles{i}"), core.cycles as f64);
@@ -428,14 +424,6 @@ impl SweepJob {
                 Ok(m)
             }
         }
-    }
-}
-
-fn sim_job_error(e: atc_types::SimError) -> JobError {
-    JobError {
-        message: e.to_string(),
-        transient: e.is_transient(),
-        partial: None,
     }
 }
 
@@ -1255,5 +1243,45 @@ mod tests {
         }
         .for_multicore();
         assert_eq!((tiny.warmup, tiny.measure), (20_000, 100_000));
+    }
+
+    #[test]
+    fn a_deadlocked_job_is_attempted_once() {
+        use atc_harness::{JobStatus, Progress, Scheduler};
+
+        // Memory that never answers trips the deadlock watchdog. A run
+        // is deterministic, so a retry would deadlock at the same cycle:
+        // even with a retry budget the job fails on its first attempt,
+        // with its partial statistics.
+        const NEVER: u64 = 1_000_000_000_000;
+        let mut cfg = SimConfig::baseline();
+        cfg.machine.dram.row_hit_cycles = NEVER;
+        cfg.machine.dram.row_miss_cycles = NEVER;
+        cfg.watchdog_cycles = 1_000_000;
+        let job = SweepJob::Single {
+            cfg,
+            bench: BenchmarkId::Mcf,
+            budget: Budget {
+                scale: Scale::Test,
+                seed: 3,
+                warmup: 5_000,
+                measure: 30_000,
+            },
+        };
+        let traces = TraceCache::new();
+        let runs = Scheduler::new(1).with_retries(1).run(
+            &[("deadlock".to_string(), job)],
+            &Progress::new(),
+            |_key, job, ctx| job.run(&traces, &ctx.cancel),
+        );
+        assert_eq!(runs[0].attempts, 1);
+        match &runs[0].status {
+            JobStatus::Failed(err) => {
+                assert!(err.message.contains("deadlock"), "{}", err.message);
+                assert!(!err.transient);
+                assert!(err.partial.is_some(), "partial metrics salvaged");
+            }
+            other => panic!("expected a failed job, got {other:?}"),
+        }
     }
 }

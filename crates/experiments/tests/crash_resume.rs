@@ -4,10 +4,10 @@
 //!
 //! The crash point is chosen by a fault plan rather than a timer:
 //! fig16's job list puts the `tempo/*` jobs ahead of the `base/*` jobs,
-//! so stalling `key=base/` guarantees the tempo records land (flushed
-//! immediately under `--flush-every 1`) while the base jobs are parked
-//! inside their injected stall — the poller waits for the first durable
-//! record and kills the child deep inside that window.
+//! so stalling `key=base/` guarantees the tempo records land (each is
+//! written to the manifest as its job completes) while the base jobs
+//! are parked inside their injected stall — the poller waits for the
+//! first durable record and kills the child deep inside that window.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
@@ -95,20 +95,12 @@ fn sigkill_mid_sweep_then_resume_is_byte_identical() {
     assert!(!reference.stdout.is_empty(), "reference rendered no tables");
 
     // Crashed run: base/* jobs park in a 30 s injected stall, so only
-    // tempo records can become durable; flush-every 1 makes each one
-    // durable the moment its job completes.
+    // tempo records can become durable, each the moment its job
+    // completes.
     let manifest = dir.0.join("crashed.jsonl");
-    let mut child: Child = suite(
-        &manifest,
-        &[
-            "--flush-every",
-            "1",
-            "--fault-plan",
-            "42:stall30000@key=base/",
-        ],
-    )
-    .spawn()
-    .expect("spawn suite under fault plan");
+    let mut child: Child = suite(&manifest, &["--fault-plan", "42:stall30000@key=base/"])
+        .spawn()
+        .expect("spawn suite under fault plan");
 
     // Wait for the first durable record, then SIGKILL the child while
     // the base jobs are still inside their stall window.
@@ -171,15 +163,13 @@ fn fault_plan_failures_are_recorded_then_healed_by_retry_failed_resume() {
     let reference = run_suite(&dir.0.join("reference.jsonl"), &[]);
 
     // Faulted pass: deterministic seeded panics, transient errors,
-    // stalls, and torn manifest flushes. Jobs may legitimately end
+    // stalls, and torn manifest appends. Jobs may legitimately end
     // `failed`/`panicked`, so a non-zero exit is acceptable here — what
     // matters is that the process survives and records *something* for
     // every job it ran.
     let out = suite(
         &manifest,
         &[
-            "--flush-every",
-            "1",
             "--retries",
             "2",
             "--backoff-ms",

@@ -81,11 +81,7 @@ fn main() {
                         MEASURE,
                     ) {
                         Ok(stats) => Ok(Metrics::from([("ipc", stats.core.ipc())])),
-                        Err(failure) => Err(JobError {
-                            message: failure.error.to_string(),
-                            transient: failure.error.is_deadlock(),
-                            partial: None,
-                        }),
+                        Err(failure) => Err(JobError::permanent(failure.error.to_string())),
                     },
                 );
             assert!(
@@ -147,13 +143,10 @@ fn main() {
 fn clamp_exercise() {
     let log = std::sync::Arc::new(atc_harness::EventLog::new(64));
     let jobs: Vec<(String, u64)> = (0..2).map(|i| (format!("tail/j{i}"), i)).collect();
-    let progress = Progress::new();
-    let runs =
-        Scheduler::new(8)
-            .with_events(log.clone())
-            .run(&jobs, &progress, |_key, &i, _ctx| {
-                Ok(Metrics::from([("i", i as f64)]))
-            });
+    let progress = Progress::traced(log.clone());
+    let runs = Scheduler::new(8).run(&jobs, &progress, |_key, &i, _ctx| {
+        Ok(Metrics::from([("i", i as f64)]))
+    });
     assert!(
         runs.iter().all(|r| matches!(r.status, JobStatus::Ok(_))),
         "clamp exercise jobs must succeed"

@@ -1,29 +1,25 @@
 //! Harness lifecycle events: a bounded, timestamped log of what every
 //! worker did, precise enough to reconstruct each worker's timeline.
 //!
-//! The scheduler, manifest and fault plan record [`JobEvent`]s into a
-//! shared [`EventLog`] when one is attached ([`Scheduler::with_events`],
-//! [`Manifest::with_events`]); with none attached the instrumentation
-//! compiles down to an `Option` check. After the run, the suite drains
-//! the log and renders it as a Chrome/Perfetto trace-event timeline —
-//! one track per worker — via `atc_bench::trace_event` (`--trace-out`).
+//! A [`Progress`](crate::Progress) built with
+//! [`Progress::traced`](crate::Progress::traced) owns an [`EventLog`]:
+//! every lifecycle transition it is told about (claim, start, retry,
+//! timeout, cancel, fault, finish, recover) updates its counters *and*
+//! lands here as one [`JobEvent`]. An untraced `Progress` keeps only
+//! the counters. After the run, the suite drains the log and renders it
+//! as a Chrome/Perfetto trace-event timeline — one track per worker,
+//! plus the manifest's — via `atc_bench::trace_event` (`--trace-out`).
 //!
 //! The log is bounded: past `capacity` events, new records are counted
 //! in [`dropped`](EventLog::dropped) instead of growing without limit.
-//! Recording takes a mutex, but only once per job lifecycle transition
-//! (claim/start/retry/…), never on the simulator's per-instruction hot
-//! path.
-//!
-//! [`Scheduler::with_events`]: crate::Scheduler::with_events
-//! [`Manifest::with_events`]: crate::Manifest::with_events
+//! Recording takes a mutex, but only once per job lifecycle transition,
+//! never on the simulator's per-instruction hot path.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Synthetic worker id for the deadline-watchdog thread's own track.
-pub const WATCHDOG_WORKER: u32 = u32::MAX;
-/// Synthetic worker id for manifest flush events.
+/// Synthetic worker id for the manifest's own track (recovery events).
 pub const MANIFEST_WORKER: u32 = u32::MAX - 1;
 
 /// What happened to a job (or the harness around it).
@@ -43,10 +39,8 @@ pub enum JobEventKind {
     Finish,
     /// The fault plan injected a fault (detail names it).
     Fault,
-    /// The manifest flushed buffered records to disk.
-    Flush,
-    /// Manifest recovery found something noteworthy (detail = corrupt
-    /// line count, duplicate-key count, or a truncated torn tail).
+    /// Manifest recovery repaired one thing (detail = a skipped corrupt
+    /// line, a superseded duplicate record, or a truncated torn tail).
     Recover,
 }
 
@@ -61,7 +55,6 @@ impl JobEventKind {
             JobEventKind::Cancel => "cancel",
             JobEventKind::Finish => "finish",
             JobEventKind::Fault => "fault",
-            JobEventKind::Flush => "flush",
             JobEventKind::Recover => "recover",
         }
     }
@@ -72,15 +65,17 @@ impl JobEventKind {
 pub struct JobEvent {
     /// Microseconds since the log was created.
     pub t_us: u64,
-    /// Worker index, or [`WATCHDOG_WORKER`] / [`MANIFEST_WORKER`].
+    /// Worker index, or [`MANIFEST_WORKER`].
     pub worker: u32,
     /// What happened.
     pub kind: JobEventKind,
-    /// Job key (empty for harness-level events like flushes).
+    /// Job key (the manifest path for recovery events; empty for a
+    /// timeout, whose key the worker's concurrent start names).
     pub key: String,
     /// Attempt number (1-based; 0 where not applicable).
     pub attempt: u32,
-    /// Free-form detail: terminal status, fault name, record count.
+    /// Free-form detail: terminal status, fault name, what recovery
+    /// repaired.
     pub detail: String,
 }
 
@@ -191,7 +186,7 @@ mod tests {
     #[test]
     fn kind_labels_are_stable() {
         assert_eq!(JobEventKind::Claim.label(), "claim");
-        assert_eq!(JobEventKind::Flush.label(), "flush");
+        assert_eq!(JobEventKind::Fault.label(), "fault");
         assert_eq!(JobEventKind::Recover.label(), "recover");
     }
 }

@@ -10,25 +10,27 @@
 //! | `panic@0.25`      | ~25 % of attempts panic inside the runner         |
 //! | `transient@0.5`   | ~50 % of attempts fail with a transient error     |
 //! | `stall250@0.1`    | ~10 % of attempts sleep 250 ms before running     |
-//! | `torn@0.5`        | ~50 % of manifest flushes tear their last record  |
+//! | `torn@0.5`        | ~50 % of manifest appends tear their record       |
 //! | `panic@key=mcf`   | every attempt whose job key contains `mcf` panics |
 //!
 //! Triggers are either a rate in `[0, 1]` rolled deterministically per
 //! `(seed, kind, key, attempt)`, or `key=<substr>` which fires on every
-//! matching attempt. Torn-write rolls key on the manifest's *flush
-//! index* (`flush<N>` plays the role of the job key), so injection is
-//! independent of worker scheduling and a faulted run is reproducible
-//! bit-for-bit from its seed.
+//! matching attempt. Torn-write rolls key on the manifest's *append
+//! index* (`flush<N>` plays the role of the job key for the N-th record
+//! written), so injection is independent of worker scheduling and a
+//! faulted run is reproducible bit-for-bit from its seed.
 //!
-//! The plan is held behind an `Option` everywhere it is consulted; the
-//! default (`None`) adds one branch per job attempt and per flush —
-//! nothing on the simulator's per-access path.
+//! Every fault that fires is reported to the run's
+//! [`Progress`] before it takes effect. The plan is
+//! held behind an `Option` everywhere it is consulted; the default
+//! (`None`) adds one branch per job attempt and per append — nothing on
+//! the simulator's per-access path.
 
 use std::time::Duration;
 
 use atc_bench::fnv1a;
 
-use crate::events::{EventLog, JobEventKind};
+use crate::progress::Progress;
 use crate::scheduler::JobError;
 
 /// What a fault does when its trigger fires.
@@ -42,7 +44,7 @@ enum FaultKind {
     /// Sleep this long before running the attempt (exercises the
     /// deadline watchdog).
     Stall(Duration),
-    /// Tear a manifest flush mid-record (exercises torn-tail recovery).
+    /// Tear a manifest append mid-record (exercises torn-tail recovery).
     Torn,
 }
 
@@ -136,10 +138,10 @@ impl FaultPlan {
     /// May sleep (an injected stall), panic (an injected panic — caught
     /// by the scheduler like any runner panic), or return a transient
     /// [`JobError`] the caller must report instead of running the job.
-    /// Returns `Ok(())` when no fault fires. With `events` set to a log
-    /// and a worker id, every fired fault is recorded on that worker's
-    /// track — the panic *before* unwinding, so the timeline shows the
-    /// injection, not just the resulting panic.
+    /// Returns `Ok(())` when no fault fires. Every fired fault is
+    /// reported to `progress` as `worker`'s — the panic *before*
+    /// unwinding, so a timeline shows the injection, not just the
+    /// resulting panic.
     ///
     /// # Errors
     ///
@@ -153,13 +155,10 @@ impl FaultPlan {
         &self,
         key: &str,
         attempt: u32,
-        events: Option<(&EventLog, u32)>,
+        progress: &Progress,
+        worker: u32,
     ) -> Result<(), JobError> {
-        let emit = |detail: &str| {
-            if let Some((log, wid)) = events {
-                log.record(wid, JobEventKind::Fault, key, attempt, detail);
-            }
-        };
+        let emit = |what: &str| progress.faulted(worker, key, attempt, what);
         for fault in &self.faults {
             match fault.kind {
                 FaultKind::Stall(dur) => {
@@ -188,23 +187,15 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Whether the `flush_index`-th manifest flush should tear. The roll
-    /// keys on `flush<N>` instead of a job key, so torn writes land at
-    /// the same flushes regardless of worker timing.
-    pub fn torn_flush(&self, flush_index: u64) -> bool {
-        let key = format!("flush{flush_index}");
+    /// Whether the `index`-th record appended to the manifest should
+    /// tear. The roll keys on `flush<N>` instead of a job key, so torn
+    /// writes land at the same records regardless of worker timing.
+    pub fn torn_append(&self, index: u64) -> bool {
+        let key = format!("flush{index}");
         self.faults
             .iter()
             .filter(|f| f.kind == FaultKind::Torn)
             .any(|f| self.fires(f, &key, 0))
-    }
-
-    /// Whether the plan injects any stall faults (used by schedulers to
-    /// size watchdog expectations in smokes).
-    pub fn has_stalls(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f.kind, FaultKind::Stall(_)))
     }
 }
 
@@ -291,7 +282,6 @@ mod tests {
             p.faults[2].kind,
             FaultKind::Stall(Duration::from_millis(250))
         );
-        assert!(p.has_stalls());
         assert_eq!(p.faults[3].kind, FaultKind::Torn);
     }
 
@@ -348,29 +338,31 @@ mod tests {
     #[test]
     fn key_trigger_matches_substring() {
         let p = FaultPlan::parse("1:transient@key=mcf").unwrap();
-        assert!(p.before_attempt("tempo/mcf/s42", 1, None).is_err());
-        assert!(p.before_attempt("tempo/pr/s42", 1, None).is_ok());
+        let progress = Progress::new();
+        assert!(p.before_attempt("tempo/mcf/s42", 1, &progress, 0).is_err());
+        assert!(p.before_attempt("tempo/pr/s42", 1, &progress, 0).is_ok());
         // key= fires on every attempt: retries keep failing.
-        assert!(p.before_attempt("tempo/mcf/s42", 3, None).is_err());
+        assert!(p.before_attempt("tempo/mcf/s42", 3, &progress, 0).is_err());
     }
 
     #[test]
     fn torn_rolls_key_on_flush_index() {
         let p = FaultPlan::parse("3:torn@0.5").unwrap();
-        let pattern: Vec<bool> = (0..32).map(|i| p.torn_flush(i)).collect();
-        let again: Vec<bool> = (0..32).map(|i| p.torn_flush(i)).collect();
+        let pattern: Vec<bool> = (0..32).map(|i| p.torn_append(i)).collect();
+        let again: Vec<bool> = (0..32).map(|i| p.torn_append(i)).collect();
         assert_eq!(pattern, again);
-        assert!(pattern.iter().any(|&b| b), "some flush tears at rate 0.5");
-        assert!(!pattern.iter().all(|&b| b), "not every flush tears");
+        assert!(pattern.iter().any(|&b| b), "some append tears at rate 0.5");
+        assert!(!pattern.iter().all(|&b| b), "not every append tears");
         // A torn-only plan injects nothing into job attempts.
-        assert!(p.before_attempt("tempo/mcf/s42", 1, None).is_ok());
+        let progress = Progress::new();
+        assert!(p.before_attempt("tempo/mcf/s42", 1, &progress, 0).is_ok());
     }
 
     #[test]
     #[should_panic(expected = "fault-injected panic")]
     fn injected_panic_panics() {
         let p = FaultPlan::parse("1:panic@key=boom").unwrap();
-        let _ = p.before_attempt("job/boom/1", 1, None);
+        let _ = p.before_attempt("job/boom/1", 1, &Progress::new(), 0);
     }
 
     #[test]

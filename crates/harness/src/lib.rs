@@ -14,32 +14,34 @@
 //! 2. [`Scheduler`] ([`scheduler`]) — a bounded worker pool over
 //!    [`std::thread::scope`] whose workers claim jobs in spec order from
 //!    one shared atomic cursor, with per-job panic capture, bounded
-//!    retry of transient failures (with seeded exponential backoff), and
-//!    a per-job deadline watchdog that cancels runaway attempts through
-//!    each attempt's [`JobCtx`] cancellation token. A worker lost to a
-//!    panic loses only its in-flight job.
+//!    retry of transient (injected) failures with seeded exponential
+//!    backoff, and a per-job deadline watchdog that cancels runaway
+//!    attempts through each attempt's [`JobCtx`] cancellation token. A
+//!    worker lost to a panic loses only its in-flight job.
 //! 3. [`Manifest`] / [`run_with_manifest_opts`] ([`manifest`]) —
 //!    append-only `manifest.jsonl` checkpointing with checksummed
 //!    records and skip-and-log recovery: rerunning a half-finished (or
 //!    crashed) sweep re-executes only the jobs without a usable terminal
 //!    record, and metric values round-trip bit-exactly so resumed
-//!    aggregation is byte-identical to a fresh run. Records stream to
-//!    disk as jobs complete, so even SIGKILL loses at most the unflushed
-//!    tail.
-//! 4. [`Progress`] ([`progress`]) — queued/running/done/failed/panicked
-//!    /timeout counters and a per-job wall-time histogram in an
-//!    `atc-obs` [`Registry`](atc_obs::Registry).
+//!    aggregation is byte-identical to a fresh run. Each record is
+//!    written through to the file as its job completes, so even SIGKILL
+//!    loses at most the jobs still running.
+//! 4. [`Progress`] ([`progress`]) — the one place a job lifecycle
+//!    transition (claim / start / retry / timeout / cancel / fault /
+//!    finish / recover) is reported: queued/running/done/failed/
+//!    panicked/timeout counters and a per-job wall-time histogram in an
+//!    `atc-obs` [`Registry`](atc_obs::Registry), plus, when built with
+//!    [`Progress::traced`], a bounded timeline of those transitions.
 //! 5. [`FaultPlan`] ([`fault`]) — seeded, deterministic fault injection
 //!    (panics, transient errors, stalls, torn manifest writes) for
 //!    exercising every failure path above from tests and CI smokes.
 //! 6. [`EventLog`] ([`events`]) + [`live_line`] ([`progress`]) —
-//!    streaming observability: timestamped job lifecycle events (claim /
-//!    start / retry / timeout / cancel / finish / flush) for trace-event
-//!    timelines, and the live stderr progress line rendered from a
-//!    [`Progress`] snapshot. The `atc_bench::stream::Sampler` thread
-//!    takes those snapshots (through a closure over the `Progress`) and
-//!    writes them, delta-encoded, into a checksummed `telemetry.jsonl`
-//!    (`atc-telemetry-stream-v1`).
+//!    streaming observability: a traced [`Progress`]'s timestamped
+//!    lifecycle events for trace-event timelines, and the live stderr
+//!    progress line rendered from a [`Progress`] snapshot. The
+//!    `atc_bench::stream::Sampler` thread takes those snapshots (through
+//!    a closure over the `Progress`) and writes them, delta-encoded,
+//!    into a checksummed `telemetry.jsonl` (`atc-telemetry-stream-v1`).
 //!
 //! The crate knows nothing about the simulator: jobs carry an opaque
 //! payload and a runner closure, and config deltas are referenced by
@@ -94,7 +96,7 @@ pub mod progress;
 pub mod scheduler;
 pub mod spec;
 
-pub use events::{EventLog, JobEvent, JobEventKind, MANIFEST_WORKER, WATCHDOG_WORKER};
+pub use events::{EventLog, JobEvent, JobEventKind, MANIFEST_WORKER};
 pub use fault::FaultPlan;
 pub use manifest::{
     run_with_manifest_opts, Manifest, Metrics, Record, Recovery, SweepOptions, SweepOutcome,

@@ -11,13 +11,12 @@
 //!  "metrics":{"ipc":0.612,"llc_mpki":11.3},"error":null,"ck":"9a41...77c0"}
 //! ```
 //!
-//! Appends are buffered: records accumulate in memory and reach the
-//! file in batches (every [`Manifest::DEFAULT_FLUSH_EVERY`] records, on
-//! an explicit [`Manifest::flush`]/[`Manifest::checkpoint`], and on
-//! drop), so a sweep pays one syscall pair per batch instead of per
-//! job. Each flush writes whole `line\n` records; a crash — including a
-//! SIGKILL mid-`write(2)` — can at worst lose the *unflushed tail*,
-//! whose jobs simply re-execute on resume, plus leave damage that
+//! Appends write through: [`Manifest::append`] writes its record's
+//! whole `line\n` to the file before it returns, so every record a job
+//! produced is in the file (the kernel's page cache, which survives
+//! process death) the moment its append returns. A crash — including a
+//! SIGKILL mid-`write(2)` — loses at most the records not yet appended,
+//! whose jobs simply re-execute on resume, plus leaves damage that
 //! [`Manifest::open`] recovers from rather than erroring on:
 //!
 //! * a **torn trailing line** (no newline) is dropped and truncated
@@ -25,15 +24,14 @@
 //! * a **corrupt interior line** (checksum mismatch, bad JSON, an old
 //!   `v:1` record) is *skipped and logged* — its job re-executes and a
 //!   fresh record is appended;
-//! * a **duplicate key** (a retry that re-ran a job whose record did
-//!   reach the file, e.g. after a torn flush lost the tail *after* the
-//!   record's bytes landed) resolves **last-writer-wins**, making
-//!   record replay idempotent.
+//! * a **duplicate key** (a `--retry-failed` resume re-ran a job whose
+//!   failed record stays in the file) resolves **last-writer-wins**,
+//!   making record replay idempotent.
 //!
 //! Anything recovery had to repair is summarized in one stderr line,
 //! exposed via [`Manifest::recovery`] for the suite's end-of-run tally,
-//! and, once an event log is attached with [`Manifest::with_events`],
-//! recorded as `recover` events on the manifest's trace track.
+//! and reported once to the pass's [`Progress`] when
+//! [`run_with_manifest_opts`] ends.
 //!
 //! Metric values are `f64`s rendered with Rust's shortest round-trip
 //! formatting, so a value read back from the manifest is bit-identical
@@ -47,12 +45,11 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use atc_bench::json::Value;
 use atc_bench::stream::{seal, unseal};
 
-use crate::events::{EventLog, JobEventKind, MANIFEST_WORKER};
 use crate::fault::FaultPlan;
 use crate::progress::Progress;
 use crate::scheduler::{JobCtx, JobError, JobRun, JobStatus, Scheduler};
@@ -302,7 +299,7 @@ impl Recovery {
     }
 }
 
-/// An append-only JSONL checkpoint file with buffered writes,
+/// An append-only JSONL checkpoint file with write-through appends,
 /// checksummed records, and skip-and-log recovery.
 #[derive(Debug)]
 pub struct Manifest {
@@ -312,29 +309,19 @@ pub struct Manifest {
     records: Vec<Record>,
     /// key → index into `records`.
     index: HashMap<String, usize>,
-    /// Serialized records not yet written to the file.
-    buf: Vec<u8>,
-    /// Records currently sitting in `buf`.
-    pending: usize,
-    /// Auto-flush threshold: `append` flushes once this many records
-    /// are buffered.
-    flush_every: usize,
     /// `sync_data` at checkpoint boundaries.
     fsync: bool,
-    /// Fault injection for flush tearing (tests and robustness smokes).
+    /// Fault injection for append tearing (tests and robustness smokes).
     fault: Option<FaultPlan>,
-    /// Flushes performed so far (the torn-fault roll key).
-    flushes: u64,
+    /// Records appended so far (the torn-fault roll key).
+    appends: u64,
     /// What `open` repaired, plus append-time supersedes.
     recovery: Recovery,
-    /// Lifecycle event log; flushes are recorded on the manifest track.
-    events: Option<Arc<EventLog>>,
+    /// The part of `recovery` already reported to a [`Progress`].
+    reported: Recovery,
 }
 
 impl Manifest {
-    /// Records buffered between automatic flushes.
-    pub const DEFAULT_FLUSH_EVERY: usize = 32;
-
     /// Open `path`, creating it if absent.
     ///
     /// With `resume = false` the file is truncated — every job will
@@ -422,23 +409,12 @@ impl Manifest {
             file,
             records,
             index,
-            buf: Vec::new(),
-            pending: 0,
-            flush_every: Self::DEFAULT_FLUSH_EVERY,
             fsync: false,
             fault: None,
-            flushes: 0,
+            appends: 0,
             recovery,
-            events: None,
+            reported: Recovery::default(),
         })
-    }
-
-    /// Override the auto-flush threshold (floored at 1). The default
-    /// batches [`Self::DEFAULT_FLUSH_EVERY`] records; crash-sensitive
-    /// runs set 1 to persist every record immediately.
-    pub fn with_flush_every(mut self, records: usize) -> Manifest {
-        self.flush_every = records.max(1);
-        self
     }
 
     /// `sync_data` the file at every [`checkpoint`](Self::checkpoint)
@@ -449,38 +425,9 @@ impl Manifest {
         self
     }
 
-    /// Inject the given [`FaultPlan`]'s torn-write faults into flushes.
+    /// Inject the given [`FaultPlan`]'s torn-write faults into appends.
     pub fn with_faults(mut self, plan: FaultPlan) -> Manifest {
         self.fault = Some(plan);
-        self
-    }
-
-    /// Record into `log`, on the manifest's own track
-    /// ([`MANIFEST_WORKER`]), what
-    /// [`open`](Self::open) repaired — one [`JobEventKind::Recover`]
-    /// event per damage category (corrupt lines, superseded duplicates,
-    /// a truncated torn tail), keyed by the path — and from then on
-    /// every flush, with its record count and whether fault injection
-    /// tore it. Call it straight after `open`, before any append.
-    pub fn with_events(mut self, log: Arc<EventLog>) -> Manifest {
-        let recovery = &self.recovery;
-        let key = self.path.display().to_string();
-        let recover = |detail: &str| {
-            log.record(MANIFEST_WORKER, JobEventKind::Recover, &key, 0, detail);
-        };
-        if recovery.corrupt > 0 {
-            recover(&format!("{} corrupt line(s) skipped", recovery.corrupt));
-        }
-        if recovery.duplicates > 0 {
-            recover(&format!(
-                "{} duplicate record(s) superseded",
-                recovery.duplicates
-            ));
-        }
-        if recovery.torn_tail {
-            recover("torn tail truncated");
-        }
-        self.events = Some(log);
         self
     }
 
@@ -521,15 +468,30 @@ impl Manifest {
         self.index.contains_key(key)
     }
 
-    /// Append one record to the write buffer. The record is immediately
-    /// visible to [`get`](Self::get)/[`records`](Self::records) —
-    /// superseding any earlier record for the same key — and reaches
-    /// the file on the next automatic or explicit
-    /// [`flush`](Self::flush) (at worst on drop).
+    /// Append one record: its line is written to the file before this
+    /// returns, and the record is visible to
+    /// [`get`](Self::get)/[`records`](Self::records), superseding any
+    /// earlier record for the same key.
     pub fn append(&mut self, record: Record) -> io::Result<()> {
-        self.buf.extend_from_slice(record.to_json_line().as_bytes());
-        self.buf.push(b'\n');
-        self.pending += 1;
+        let mut line = record.to_json_line().into_bytes();
+        line.push(b'\n');
+        let index = self.appends;
+        self.appends += 1;
+        let torn = self
+            .fault
+            .as_ref()
+            .is_some_and(|plan| plan.torn_append(index));
+        // An injected torn write reaches the file cut mid-line with no
+        // newline — exactly the shape a crash mid-`write(2)` leaves
+        // behind. The in-memory state moves on as if the write
+        // succeeded, so the damage is only discovered by the next
+        // recovery, as in a real crash.
+        let len = if torn {
+            (line.len() - 1) / 2
+        } else {
+            line.len()
+        };
+        self.file.write_all(&line[..len])?;
         match self.index.get(&record.key) {
             Some(&i) => {
                 self.records[i] = record;
@@ -540,93 +502,32 @@ impl Manifest {
                 self.records.push(record);
             }
         }
-        if self.pending >= self.flush_every {
-            self.flush()?;
-        }
         Ok(())
     }
 
-    /// Write all buffered records to the file. Call at checkpoint
-    /// boundaries (end of a scheduling pass, before handing the path to
-    /// another process); records not yet flushed when the process dies
-    /// are lost and their jobs re-execute on `--resume`.
-    pub fn flush(&mut self) -> io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let flush_index = self.flushes;
-        self.flushes += 1;
-        let torn = self
-            .fault
-            .as_ref()
-            .is_some_and(|plan| plan.torn_flush(flush_index));
-        if torn {
-            // Injected torn write: the last buffered record reaches the
-            // file cut mid-line with no newline — exactly the shape a
-            // crash mid-`write(2)` leaves behind. The in-memory state
-            // moves on as if the flush succeeded, so the damage is only
-            // discovered by the next recovery, as in a real crash.
-            let cut = torn_cut(&self.buf);
-            self.file.write_all(&self.buf[..cut])?;
-        } else {
-            self.file.write_all(&self.buf)?;
-        }
-        self.file.flush()?;
-        if let Some(log) = &self.events {
-            let detail = format!(
-                "{} record(s){}",
-                self.pending,
-                if torn { ", torn" } else { "" }
-            );
-            log.record(MANIFEST_WORKER, JobEventKind::Flush, "", 0, &detail);
-        }
-        self.buf.clear();
-        self.pending = 0;
-        Ok(())
-    }
-
-    /// A durability barrier: [`flush`](Self::flush), then `sync_data`
-    /// when [`with_fsync`](Self::with_fsync) is on. Resume correctness
-    /// only needs the flush (the kernel keeps the page cache coherent
-    /// across process death); the sync hardens checkpoints against
-    /// machine-level loss.
+    /// A durability barrier: `sync_data` when
+    /// [`with_fsync`](Self::with_fsync) is on, a no-op otherwise. Resume
+    /// correctness needs no barrier (every append has already reached
+    /// the kernel, which keeps the page cache coherent across process
+    /// death); the sync hardens checkpoints against machine-level loss.
     pub fn checkpoint(&mut self) -> io::Result<()> {
-        self.flush()?;
         if self.fsync {
             self.file.sync_data()?;
         }
         Ok(())
     }
 
-    /// Records appended but not yet flushed to the file.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-}
-
-/// Where an injected torn write cuts the flush buffer: mid-way through
-/// the final record's line, dropping its newline.
-fn torn_cut(buf: &[u8]) -> usize {
-    debug_assert!(buf.ends_with(b"\n"));
-    let body = &buf[..buf.len() - 1];
-    let last_start = body.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-    last_start + (body.len() - last_start) / 2
-}
-
-impl Drop for Manifest {
-    /// Best-effort final flush: a cleanly dropped manifest loses
-    /// nothing even if the caller never flushed explicitly. If the
-    /// flush *fails*, the loss is reported — `pending()` records that
-    /// never reached the file — instead of being swallowed.
-    fn drop(&mut self) {
-        let pending = self.pending;
-        if self.flush().is_err() && pending > 0 {
-            eprintln!(
-                "warning: manifest {}: final flush failed, {pending} unflushed record(s) \
-                 lost (their jobs will re-execute on --resume)",
-                self.path.display(),
-            );
-        }
+    /// Report to `progress` what recovery repaired and appends
+    /// superseded since the last report.
+    fn report_recovery(&mut self, progress: &Progress) {
+        let (now, before) = (&self.recovery, &self.reported);
+        progress.recovered(
+            &self.path,
+            now.corrupt - before.corrupt,
+            now.duplicates - before.duplicates,
+            now.torn_tail && !before.torn_tail,
+        );
+        self.reported = now.clone();
     }
 }
 
@@ -655,9 +556,11 @@ pub struct SweepOptions {
 
 /// Execute `jobs` through `scheduler`, skipping any whose key already
 /// has a usable record in `manifest` and **streaming** a record for
-/// each fresh execution: records are appended (and batch-flushed) from
-/// the worker threads the moment jobs complete, so a crash mid-sweep
-/// loses at most the unflushed tail — never the whole pass.
+/// each fresh execution: records are written through from the worker
+/// threads the moment jobs complete, so a crash mid-sweep loses at most
+/// the jobs still running — never the whole pass. At its end the pass
+/// reports to `progress`, once, what the manifest's recovery repaired
+/// and its appends superseded since the last report.
 ///
 /// The returned records are in spec order regardless of worker count or
 /// completion order, and metric values round-trip bit-exactly through
@@ -701,10 +604,10 @@ where
     // beyond the append itself. The first append error is remembered
     // and re-raised after the pass (workers keep running; their results
     // still come back in-memory).
+    let append_err: Mutex<Option<io::Error>> = Mutex::new(None);
     let runs = {
         let shared = Mutex::new(&mut *manifest);
-        let append_err: Mutex<Option<io::Error>> = Mutex::new(None);
-        let runs = scheduler.run_hooked(
+        scheduler.run_hooked(
             &missing_jobs,
             progress,
             |key, payload: &&P, ctx| runner(key, payload, ctx),
@@ -716,12 +619,12 @@ where
                     slot.get_or_insert(e);
                 }
             },
-        );
-        if let Some(e) = append_err.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            return Err(e);
-        }
-        runs
+        )
     };
+    manifest.report_recovery(progress);
+    if let Some(e) = append_err.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        return Err(e);
+    }
     let executed = runs.len();
     for ((idx, _), run) in missing.iter().zip(&runs) {
         slots[*idx] = Some(Record::from_run(run));
@@ -898,7 +801,6 @@ mod tests {
         assert!(m.recovery().torn_tail);
         assert_eq!(m.recovery().corrupt, 0);
         m.append(record("k2", "ok", Some(2.0))).unwrap();
-        m.flush().unwrap();
         // The file is clean again: both lines parse, nothing to repair.
         let m = Manifest::open(&tmp.0, true).unwrap();
         assert_eq!(m.len(), 2);
@@ -907,43 +809,20 @@ mod tests {
     }
 
     #[test]
-    fn appends_are_buffered_until_flush_or_drop() {
-        let tmp = temp_manifest("buffered");
-        let mut m = Manifest::open(&tmp.0, false).unwrap().with_flush_every(3);
+    fn appended_record_is_on_disk_even_if_the_manifest_is_forgotten() {
+        let tmp = temp_manifest("write-through");
+        let mut m = Manifest::open(&tmp.0, false).unwrap();
         m.append(record("k1", "ok", Some(1.0))).unwrap();
+        // On disk the moment `append` returns, before any checkpoint.
+        assert!(Manifest::open(&tmp.0, true).unwrap().contains("k1"));
         m.append(record("k2", "ok", Some(2.0))).unwrap();
-        // Visible in memory, not yet on disk.
-        assert_eq!(m.pending(), 2);
-        assert!(m.contains("k2"));
-        assert!(Manifest::open(&tmp.0, true).unwrap().is_empty());
-        // Third append crosses the threshold and auto-flushes.
-        m.append(record("k3", "ok", Some(3.0))).unwrap();
-        assert_eq!(m.pending(), 0);
-        assert_eq!(Manifest::open(&tmp.0, true).unwrap().len(), 3);
-        // A buffered tail reaches the file on drop.
-        m.append(record("k4", "ok", Some(4.0))).unwrap();
-        assert_eq!(m.pending(), 1);
-        drop(m);
-        let m = Manifest::open(&tmp.0, true).unwrap();
-        assert_eq!(m.len(), 4);
-        assert_eq!(m.get("k4").unwrap().metrics.get("ipc"), Some(4.0));
-    }
-
-    #[test]
-    fn unflushed_tail_is_lost_on_crash_and_reexecutes_on_resume() {
-        let tmp = temp_manifest("crash");
-        let mut m = Manifest::open(&tmp.0, false).unwrap().with_flush_every(100);
-        m.append(record("k1", "ok", Some(1.0))).unwrap();
-        m.flush().unwrap();
-        m.append(record("k2", "ok", Some(2.0))).unwrap();
-        // Simulate a crash: the process dies without flush or drop.
+        // Simulate a crash: the process dies without a checkpoint or a
+        // drop. Nothing appended is lost.
         std::mem::forget(m);
-        // Only the flushed prefix survives; k2's job is simply missing
-        // and will re-execute under --resume.
         let m = Manifest::open(&tmp.0, true).unwrap();
-        assert_eq!(m.len(), 1);
-        assert!(m.contains("k1"));
-        assert!(!m.contains("k2"));
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.get("k2").unwrap().metrics.get("ipc"), Some(2.0));
+        assert!(!m.recovery().is_noteworthy());
     }
 
     #[test]
@@ -966,49 +845,55 @@ mod tests {
     }
 
     #[test]
-    fn with_events_routes_recovery_onto_the_manifest_track() {
+    fn a_pass_reports_recovery_once_on_the_manifest_track() {
+        use crate::events::{EventLog, JobEventKind, MANIFEST_WORKER};
+        use std::sync::Arc;
+
         let tmp = temp_manifest("recover-events");
-        let good = record("k1", "ok", Some(1.0)).to_json_line();
-        let dupe = record("k1", "ok", Some(2.0)).to_json_line();
-        // Corrupt line + duplicate key + torn tail: all three damage
-        // categories in one file.
-        std::fs::write(&tmp.0, format!("garbage\n{good}\n{dupe}\n{{torn")).unwrap();
+        let good = record("job0", "ok", Some(1.0)).to_json_line();
+        let dupe = record("job0", "ok", Some(2.0)).to_json_line();
+        // Two corrupt lines + a duplicate key + a torn tail: every
+        // damage category in one file.
+        std::fs::write(&tmp.0, format!("garbage\n{good}\nbad\n{dupe}\n{{torn")).unwrap();
+        let mut m = Manifest::open(&tmp.0, true).unwrap();
         let log = Arc::new(EventLog::default());
-        let m = Manifest::open(&tmp.0, true)
-            .unwrap()
-            .with_events(Arc::clone(&log));
-        assert!(m.recovery().is_noteworthy());
-        let events = log.drain();
-        let recovers: Vec<_> = events
-            .iter()
+        let progress = Progress::traced(Arc::clone(&log));
+        let jobs: Vec<(String, u64)> = (0..2).map(|i| (format!("job{i}"), i)).collect();
+        let run = |_k: &str, i: &u64, _ctx: &JobCtx| Ok(Metrics::from([("x", *i as f64)]));
+        for _ in 0..2 {
+            // The second pass on the same manifest repairs nothing new.
+            run_with_manifest_opts(
+                &Scheduler::new(1),
+                &progress,
+                &mut m,
+                &jobs,
+                run,
+                SweepOptions::default(),
+            )
+            .unwrap();
+        }
+        let recovers: Vec<_> = log
+            .drain()
+            .into_iter()
             .filter(|e| e.kind == JobEventKind::Recover)
             .collect();
-        assert_eq!(recovers.len(), 3, "one event per damage category");
+        let details: Vec<&str> = recovers.iter().map(|e| e.detail.as_str()).collect();
+        assert_eq!(
+            details,
+            [
+                "corrupt line skipped",
+                "corrupt line skipped",
+                "duplicate record superseded",
+                "torn tail truncated"
+            ]
+        );
         for e in &recovers {
             assert_eq!(e.worker, MANIFEST_WORKER);
             assert_eq!(e.key, tmp.0.display().to_string());
         }
-        let details: Vec<&str> = recovers.iter().map(|e| e.detail.as_str()).collect();
-        assert!(details.iter().any(|d| d.contains("corrupt")), "{details:?}");
-        assert!(
-            details.iter().any(|d| d.contains("duplicate")),
-            "{details:?}"
-        );
-        assert!(
-            details.iter().any(|d| d.contains("torn tail")),
-            "{details:?}"
-        );
-        // The log stays attached: a flush records on the same track.
-        drop(m);
-        let mut m = Manifest::open(&tmp.0, true)
-            .unwrap()
-            .with_events(Arc::clone(&log));
-        m.append(record("k2", "ok", Some(3.0))).unwrap();
-        m.flush().unwrap();
-        assert!(log
-            .drain()
-            .iter()
-            .any(|e| e.kind == JobEventKind::Flush && e.worker == MANIFEST_WORKER));
+        let snap = progress.snapshot();
+        assert_eq!(snap.counter_value("harness.corrupt_records"), Some(2));
+        assert_eq!(snap.counter_value("harness.duplicate_records"), Some(1));
     }
 
     #[test]
@@ -1074,14 +959,11 @@ mod tests {
     fn injected_torn_flush_tears_like_a_real_crash() {
         let tmp = temp_manifest("torn-fault");
         {
-            // Tear only the second flush (flush index 1).
+            // Tear only the second append (append index 1).
             let plan = FaultPlan::parse("1:torn@key=flush1").unwrap();
-            let mut m = Manifest::open(&tmp.0, false)
-                .unwrap()
-                .with_flush_every(1)
-                .with_faults(plan);
-            m.append(record("k1", "ok", Some(1.0))).unwrap(); // flush 0: clean
-            m.append(record("k2", "ok", Some(2.0))).unwrap(); // flush 1: torn
+            let mut m = Manifest::open(&tmp.0, false).unwrap().with_faults(plan);
+            m.append(record("k1", "ok", Some(1.0))).unwrap(); // append 0: clean
+            m.append(record("k2", "ok", Some(2.0))).unwrap(); // append 1: torn
             std::mem::forget(m); // crash before anything else lands
         }
         let m = Manifest::open(&tmp.0, true).unwrap();
@@ -1101,14 +983,9 @@ mod tests {
     #[test]
     fn checkpoint_with_fsync_persists() {
         let tmp = temp_manifest("fsync");
-        let mut m = Manifest::open(&tmp.0, false)
-            .unwrap()
-            .with_fsync(true)
-            .with_flush_every(100);
+        let mut m = Manifest::open(&tmp.0, false).unwrap().with_fsync(true);
         m.append(record("k1", "ok", Some(1.0))).unwrap();
-        assert_eq!(m.pending(), 1);
         m.checkpoint().unwrap();
-        assert_eq!(m.pending(), 0);
         assert_eq!(Manifest::open(&tmp.0, true).unwrap().len(), 1);
     }
 
@@ -1214,11 +1091,11 @@ mod tests {
     #[test]
     fn records_stream_to_disk_before_the_end_of_run_barrier() {
         // The crash-tolerance linchpin: records must reach the file as
-        // jobs complete (batched by flush_every), not after the whole
-        // pass — otherwise SIGKILL mid-run loses everything.
+        // jobs complete, not after the whole pass — otherwise SIGKILL
+        // mid-run loses everything.
         let tmp = temp_manifest("stream");
         let jobs: Vec<(String, u64)> = (0..4).map(|i| (format!("job{i}"), i)).collect();
-        let mut manifest = Manifest::open(&tmp.0, false).unwrap().with_flush_every(1);
+        let mut manifest = Manifest::open(&tmp.0, false).unwrap();
         let progress = Progress::new();
         let path = tmp.0.clone();
         let out = run_with_manifest_opts(
@@ -1229,10 +1106,10 @@ mod tests {
             move |key: &str, i: &u64, _ctx: &JobCtx| {
                 if key == "job3" {
                     // By the time the last job runs, the first three
-                    // records are already durable on disk.
+                    // records are already in the file.
                     let text = std::fs::read_to_string(&path).unwrap();
                     let on_disk = text.lines().count();
-                    assert!(on_disk >= 3, "only {on_disk} records on disk before job3");
+                    assert_eq!(on_disk, 3, "{on_disk} records on disk before job3");
                 }
                 Ok(Metrics::from([("x", *i as f64)]))
             },

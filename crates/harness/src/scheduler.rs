@@ -14,11 +14,12 @@
 //! * a panic inside the runner is caught ([`std::panic::catch_unwind`])
 //!   and becomes [`JobStatus::Panicked`] — it never takes down the pool
 //!   and is never retried;
-//! * a [`JobError`] marked `transient` (e.g. the simulator's deadlock
-//!   watchdog) is retried up to the configured bound — after a seeded
-//!   exponential backoff when one is configured — then recorded as
-//!   [`JobStatus::Failed`] with any salvaged partial metrics;
-//! * a permanent `JobError` fails immediately;
+//! * a [`JobError`] marked `transient` (an injected fault; a simulation
+//!   is deterministic, so its own failures are permanent) is retried up
+//!   to the configured bound — after a seeded exponential backoff when
+//!   one is configured — then recorded as [`JobStatus::Failed`] with
+//!   any salvaged partial metrics;
+//! * a permanent `JobError` fails immediately, with its partial metrics;
 //! * with a per-job deadline configured, a watchdog thread cancels the
 //!   over-budget attempt's [`CancelToken`]; a cooperative runner winds
 //!   down with partial metrics and the job fails permanently (the same
@@ -33,15 +34,19 @@
 //! (cancellation is cooperative). An optional [`FaultPlan`] injects
 //! panics, transient errors, and stalls *around* the runner for
 //! robustness smokes — `None` costs one branch per attempt.
+//!
+//! Each lifecycle transition — claim, attempt start, retry, timeout,
+//! cancellation, injected fault, terminal status — is reported by one
+//! call to the run's [`Progress`], which counts it and, when traced,
+//! stores it in its timeline.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use atc_types::CancelToken;
 
-use crate::events::{EventLog, JobEventKind};
 use crate::fault::{backoff_delay, FaultPlan};
 use crate::manifest::Metrics;
 use crate::progress::Progress;
@@ -51,10 +56,10 @@ use crate::progress::Progress;
 pub struct JobError {
     /// Human-readable description of the failure.
     pub message: String,
-    /// Whether retrying the job could plausibly succeed (e.g. a
-    /// watchdog-triggered deadlock heuristic). Permanent errors —
-    /// invalid configs, workload errors, cancelled deadlines — must set
-    /// this `false`.
+    /// Whether retrying the job could plausibly succeed (an injected
+    /// fault). Deterministic failures — every simulation error, a
+    /// deadlock or a cancelled deadline included — must set this
+    /// `false`: a retry would fail the same way.
     pub transient: bool,
     /// Metrics salvaged from a partial run, if the runner could produce
     /// any before failing.
@@ -148,7 +153,6 @@ pub struct Scheduler {
     backoff_base: Duration,
     backoff_seed: u64,
     fault: Option<FaultPlan>,
-    events: Option<Arc<EventLog>>,
 }
 
 impl Scheduler {
@@ -189,15 +193,6 @@ impl Scheduler {
         self
     }
 
-    /// Record every job lifecycle transition (claim, attempt start,
-    /// retry, timeout, cancellation, terminal status, injected faults)
-    /// into `log`, timestamped on the log's timeline. The suite drains
-    /// the log into a Chrome/Perfetto trace (`--trace-out`).
-    pub fn with_events(mut self, log: Arc<EventLog>) -> Self {
-        self.events = Some(log);
-        self
-    }
-
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers
@@ -231,10 +226,11 @@ impl Scheduler {
     /// worker thread the moment each job reaches its terminal status —
     /// in *completion* order, before the end-of-run barrier. This is the
     /// streaming hook checkpointing uses to persist records as they
-    /// land, so a crash mid-sweep loses at most the unflushed tail
-    /// rather than the whole pass. The hook runs outside the per-job
-    /// panic capture: a panicking hook loses its worker, and the job it
-    /// was completing comes back [`JobStatus::Panicked`].
+    /// land, so a crash mid-sweep loses at most the jobs still running
+    /// rather than the whole pass. A job reaches `progress` as finished
+    /// only once its hook has returned. The hook runs outside the
+    /// per-job panic capture: a panicking hook loses its worker, and the
+    /// job it was completing comes back [`JobStatus::Panicked`].
     pub fn run_hooked<P, R, F, H>(
         &self,
         jobs: &[(String, P)],
@@ -263,8 +259,10 @@ impl Scheduler {
         // the cursor publishes no data (the job list is shared read-only
         // and results go through the slot mutexes).
         let next = AtomicUsize::new(0);
-        // One result slot per job, filled by whichever worker ran it.
-        let slots: Vec<Mutex<Option<JobRun<R>>>> = (0..total).map(|_| Mutex::new(None)).collect();
+        // One result slot per job: the worker that claimed it, and its
+        // run once that worker filled it in.
+        let slots: Vec<Mutex<(u32, Option<JobRun<R>>)>> =
+            (0..total).map(|_| Mutex::new((0, None))).collect();
         // One published attempt per worker for the deadline watchdog:
         // (start instant, that attempt's cancel token).
         let running: Vec<Mutex<Option<(Instant, CancelToken)>>> =
@@ -275,38 +273,29 @@ impl Scheduler {
         std::thread::scope(|scope| {
             if let Some(deadline) = self.deadline {
                 let (running, joined) = (&running, &joined);
-                let events = self.events.as_deref();
-                scope.spawn(move || {
-                    deadline_watchdog(deadline, running, joined, progress, events);
-                });
+                scope.spawn(move || deadline_watchdog(deadline, running, joined, progress));
             }
             let handles: Vec<_> = (0..workers)
-                .map(|wid| {
+                .map(|w| {
                     let (next, slots, running) = (&next, &slots, &running);
                     let (runner, on_complete) = (&runner, &on_complete);
+                    let wid = w as u32;
                     scope.spawn(move || loop {
                         let idx = next.fetch_add(1, Ordering::Relaxed);
                         let Some((key, payload)) = jobs.get(idx) else {
                             break;
                         };
-                        if let Some(log) = &self.events {
-                            log.record(wid as u32, JobEventKind::Claim, key, 0, "");
-                        }
-                        let run = self.execute_one(
-                            wid as u32,
-                            key,
-                            payload,
-                            runner,
-                            progress,
-                            &running[wid],
-                        );
+                        lock(&slots[idx]).0 = wid;
+                        progress.claimed(wid, key);
+                        let run =
+                            self.execute_one(wid, key, payload, runner, progress, &running[w]);
                         on_complete(&run);
-                        // Counted only once the hook has returned: a job
-                        // whose hook panics is counted by the lost-worker
+                        // Reported only once the hook has returned: a job
+                        // whose hook panics is reported by the lost-worker
                         // fallback below instead, so each job reaches
                         // `Progress` exactly once.
-                        progress.job_finished(run.status.tag(), run.wall_micros);
-                        *lock(&slots[idx]) = Some(run);
+                        progress.finished(wid, &run);
+                        lock(&slots[idx]).1 = Some(run);
                     })
                 })
                 .collect();
@@ -320,14 +309,14 @@ impl Scheduler {
         });
 
         // A lost worker leaves its in-flight job's slot empty; report it
-        // as a panic instead of panicking ourselves.
+        // as a panic, on that worker's track, instead of panicking
+        // ourselves.
         slots
             .into_iter()
             .zip(jobs)
             .map(|(slot, (key, _))| {
-                let slot = slot.into_inner().unwrap_or_else(|e| e.into_inner());
-                slot.unwrap_or_else(|| {
-                    progress.job_finished("panicked", 0);
+                let (wid, run) = slot.into_inner().unwrap_or_else(|e| e.into_inner());
+                run.unwrap_or_else(|| {
                     let run = JobRun {
                         key: key.clone(),
                         attempts: 0,
@@ -335,6 +324,7 @@ impl Scheduler {
                         status: JobStatus::Panicked("worker thread lost".into()),
                     };
                     on_complete(&run);
+                    progress.finished(wid, &run);
                     run
                 })
             })
@@ -344,8 +334,9 @@ impl Scheduler {
     /// Run one job to its terminal status: catch panics, retry transient
     /// errors (after any configured backoff) up to the retry bound,
     /// publish each attempt to the deadline watchdog, and inject any
-    /// configured faults around the runner. The caller reports the
-    /// terminal status to `progress`.
+    /// configured faults around the runner. Every transition on the way
+    /// is reported to `progress`, except the terminal status, which the
+    /// caller reports once the completion hook has run.
     fn execute_one<P, R, F>(
         &self,
         wid: u32,
@@ -358,13 +349,6 @@ impl Scheduler {
     where
         F: Fn(&str, &P, &JobCtx) -> Result<R, JobError>,
     {
-        progress.job_started();
-        let events = self.events.as_deref();
-        let emit = |kind: JobEventKind, attempt: u32, detail: &str| {
-            if let Some(log) = events {
-                log.record(wid, kind, key, attempt, detail);
-            }
-        };
         let start = Instant::now();
         let mut attempts = 0u32;
         let status = loop {
@@ -373,26 +357,25 @@ impl Scheduler {
                 cancel: CancelToken::new(),
                 attempt: attempts,
             };
-            emit(JobEventKind::Start, attempts, "");
+            progress.started(wid, key, attempts);
             *lock(slot) = Some((Instant::now(), ctx.cancel.clone()));
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if let Some(plan) = &self.fault {
                     // Injected stalls sleep here; injected panics and
                     // transient errors surface exactly like runner ones.
-                    plan.before_attempt(key, attempts, events.map(|log| (log, wid)))?;
+                    plan.before_attempt(key, attempts, progress, wid)?;
                 }
                 runner(key, payload, &ctx)
             }));
             *lock(slot) = None;
             if ctx.cancel.is_cancelled() {
-                emit(JobEventKind::Cancel, attempts, "attempt token cancelled");
+                progress.cancelled(wid, key, attempts);
             }
             match outcome {
                 Ok(Ok(result)) => break JobStatus::Ok(result),
                 Ok(Err(err)) => {
                     if err.transient && attempts <= self.retries {
-                        progress.job_retried();
-                        emit(JobEventKind::Retry, attempts, &err.message);
+                        progress.retried(wid, key, attempts, &err.message);
                         let delay =
                             backoff_delay(self.backoff_base, self.backoff_seed, key, attempts + 1);
                         if !delay.is_zero() {
@@ -406,7 +389,6 @@ impl Scheduler {
             }
         };
         let wall_micros = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        emit(JobEventKind::Finish, attempts, status.tag());
         JobRun {
             key: key.to_string(),
             attempts,
@@ -425,7 +407,6 @@ fn deadline_watchdog(
     running: &[Mutex<Option<(Instant, CancelToken)>>],
     joined: &AtomicBool,
     progress: &Progress,
-    events: Option<&EventLog>,
 ) {
     let tick = (deadline / 8).clamp(Duration::from_millis(1), Duration::from_millis(25));
     while !joined.load(Ordering::Relaxed) {
@@ -434,19 +415,7 @@ fn deadline_watchdog(
             if let Some((started, token)) = guard.as_ref() {
                 if started.elapsed() > deadline && !token.is_cancelled() {
                     token.cancel();
-                    progress.job_timeout();
-                    if let Some(log) = events {
-                        // Attributed to the worker's track: the key is
-                        // not published in the slot, but the concurrent
-                        // Start/Cancel events on the same track name it.
-                        log.record(
-                            wid as u32,
-                            JobEventKind::Timeout,
-                            "",
-                            0,
-                            "deadline exceeded",
-                        );
-                    }
+                    progress.timed_out(wid as u32);
                 }
             }
         }

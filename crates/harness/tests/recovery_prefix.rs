@@ -59,7 +59,7 @@ fn every_byte_prefix_recovers_cleanly_and_resumes_exactly_the_missing_jobs() {
     let records = seeded_records(seed, 8);
     let tmp = temp_path("full");
     {
-        let mut m = Manifest::open(&tmp.0, false).unwrap().with_flush_every(1);
+        let mut m = Manifest::open(&tmp.0, false).unwrap();
         for r in &records {
             m.append(r.clone()).unwrap();
         }

@@ -724,16 +724,6 @@ pub struct SimFailure {
     pub partial: Option<Box<RunStats>>,
 }
 
-impl SimFailure {
-    /// Whether retrying the same run could plausibly succeed (see
-    /// [`SimError::is_transient`]): true only for watchdog-reported
-    /// deadlocks, which sweep schedulers retry a bounded number of
-    /// times before recording the failure with these partial stats.
-    pub fn is_transient(&self) -> bool {
-        self.error.is_transient()
-    }
-}
-
 impl std::fmt::Display for SimFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.error)?;

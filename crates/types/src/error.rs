@@ -95,19 +95,6 @@ impl SimError {
         matches!(self, SimError::Deadlock(_))
     }
 
-    /// Whether retrying the same run could plausibly succeed.
-    ///
-    /// The deadlock watchdog is a forward-progress *heuristic* — a
-    /// machine that is merely slow (pathological replay storms) trips
-    /// it the same way a genuine livelock does, so sweep schedulers
-    /// treat it as transient and retry a bounded number of times.
-    /// Config, walk, and workload errors are deterministic properties
-    /// of the inputs: retrying cannot help. A cancelled run is not
-    /// transient either — the same deadline would cancel the retry too.
-    pub fn is_transient(&self) -> bool {
-        self.is_deadlock()
-    }
-
     /// True if this run was cancelled through a `CancelToken`.
     pub fn is_cancelled(&self) -> bool {
         matches!(self, SimError::Cancelled { .. })
@@ -175,15 +162,6 @@ mod tests {
         let a = SimError::workload("trace truncated");
         assert_eq!(a.clone(), a);
         assert!(!a.is_deadlock());
-    }
-
-    #[test]
-    fn only_deadlocks_are_transient() {
-        assert!(SimError::Deadlock(Box::default()).is_transient());
-        assert!(!SimError::config("x").is_transient());
-        assert!(!SimError::workload("x").is_transient());
-        assert!(!SimError::Walk { vpn: 1, level: 1 }.is_transient());
-        assert!(!SimError::Cancelled { instructions: 7 }.is_transient());
     }
 
     #[test]

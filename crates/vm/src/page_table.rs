@@ -189,12 +189,6 @@ impl PageTable {
         }
         Ok(node.frame)
     }
-
-    /// Allocate a data frame directly (for workloads that need raw
-    /// backing frames, e.g. TEMPO's DRAM-side bookkeeping in tests).
-    pub fn alloc_raw_frame(&mut self) -> Pfn {
-        self.alloc.alloc()
-    }
 }
 
 impl Default for PageTable {

@@ -80,8 +80,6 @@ pub struct PscArray {
 }
 
 /// PSC levels cover intermediate levels 2..=5 (the leaf has the TLBs).
-const PSC_LEVELS: [PtLevel; 4] = [PtLevel::L2, PtLevel::L3, PtLevel::L4, PtLevel::L5];
-
 fn idx_of(level: PtLevel) -> usize {
     (level.number() - 2) as usize
 }
@@ -151,13 +149,6 @@ impl PscArray {
     pub fn reset_stats(&mut self) {
         self.hits = 0;
         self.misses = 0;
-    }
-}
-
-impl PscArray {
-    /// Iterate over the levels backed by PSCs (for tests/diagnostics).
-    pub fn covered_levels() -> [PtLevel; 4] {
-        PSC_LEVELS
     }
 }
 

@@ -142,11 +142,6 @@ impl TranslationQuery {
     pub fn is_dtlb_hit(&self) -> bool {
         matches!(self, TranslationQuery::DtlbHit(_))
     }
-
-    /// True if this query hit the STLB (after a DTLB miss).
-    pub fn is_stlb_hit(&self) -> bool {
-        matches!(self, TranslationQuery::StlbHit(_))
-    }
 }
 
 /// DTLB + STLB + PSCs + page table, glued together.

@@ -23,7 +23,7 @@ use std::time::Duration;
 use atc_bench::fnv1a;
 use atc_bench::json::Value;
 use atc_bench::stream::{check_stream, unseal, Sampler, StreamOptions};
-use atc_harness::Progress;
+use atc_harness::{JobError, JobRun, JobStatus, Progress};
 use atc_obs::Registry;
 
 /// A per-test stream path under the temp dir.
@@ -88,9 +88,23 @@ fn sampler_over_progress_reconciles() {
         move || {
             std::thread::spawn(move || {
                 for i in 0..10 {
-                    worker.job_started();
+                    let key = format!("job{i}");
+                    worker.claimed(0, &key);
                     worker.add_instructions(1_000);
-                    worker.job_finished(if i % 4 == 3 { "failed" } else { "ok" }, 50);
+                    let status = if i % 4 == 3 {
+                        JobStatus::Failed(JobError::permanent("failed"))
+                    } else {
+                        JobStatus::Ok(())
+                    };
+                    worker.finished(
+                        0,
+                        &JobRun {
+                            key,
+                            attempts: 1,
+                            wall_micros: 50,
+                            status,
+                        },
+                    );
                     std::thread::sleep(Duration::from_millis(1));
                 }
             })
