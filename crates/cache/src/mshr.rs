@@ -7,6 +7,27 @@
 //! earliest in-flight fill completes (a simple but effective bandwidth
 //! model — the paper relies on MSHR pressure to bound its "ideal cache"
 //! study the same way).
+//!
+//! # When entries leave the file
+//!
+//! Probe cycles are not monotonic: a page walk or a prefetch probes a
+//! level at a later cycle than the next instruction's dispatch, which
+//! then probes at an earlier one. So *when* a completed entry is
+//! removed is observable. An entry whose fill completed before a later
+//! probe's cycle would still merge with (or occupy a register against)
+//! a probe at an earlier cycle, had it not been swept. Every result
+//! therefore depends on the exact sequence of sweeps, and the sweeps
+//! are fixed: each [`allocate`](Mshr::allocate),
+//! [`full_wakeup`](Mshr::full_wakeup) and [`in_flight`](Mshr::in_flight)
+//! sweeps at its own cycle, and a [`merge`](Mshr::merge) that finds its
+//! own line's fill complete retires that one entry. No other call
+//! removes anything, and every allocate still sweeps even where a
+//! lazier scheme would look equivalent under monotonic cycles.
+//!
+//! Within those rules the file is a *set* of `(line, ready,
+//! is_prefetch)` entries: a line is never in flight twice, so nothing
+//! reads the order of the registers, and the sweep compacts in place
+//! without keeping it.
 
 use atc_types::{LineAddr, SimError};
 
@@ -16,24 +37,37 @@ struct Entry {
     is_prefetch: bool,
 }
 
+/// The presence-filter bit of `line`: one of 64, from its low bits.
+#[inline]
+fn filter_bit(line: u64) -> u64 {
+    1 << (line & 63)
+}
+
 /// An MSHR file with a fixed number of registers.
 ///
 /// The register file is two parallel vectors (line addresses and entry
 /// state) scanned linearly: an MSHR holds at most a few dozen entries,
 /// so a contiguous scan over raw `u64` line words beats a hash map on
-/// the per-access probe path — no hashing, no bucket walk, and the
-/// common all-expired case stays one bounds check.
+/// the per-access probe path. Two summaries ride beside them, both
+/// rebuilt by every sweep:
+///
+/// * `min_ready`, the exact earliest `ready` among resident entries. A
+///   sweep at `cycle < min_ready` can expire nothing and returns at
+///   once, and a full file's earliest fill is read from it, not found
+///   by a scan.
+/// * `filter`, one bit per line (its low six bits pick the bit), a
+///   superset of the resident lines. A merge whose bit is clear cannot
+///   match and returns without scanning.
 #[derive(Debug)]
 pub struct Mshr {
     lines: Vec<u64>,
     entries: Vec<Entry>,
     capacity: usize,
-    /// Lower bound on the earliest `ready` among resident entries
-    /// (`u64::MAX` when empty). A sweep at `cycle < min_ready` can
-    /// expire nothing and returns immediately; lazy retirement in
-    /// [`merge`](Self::merge) can leave the bound conservatively low,
-    /// which only costs an occasional no-op sweep.
+    /// Earliest `ready` among resident entries (`u64::MAX` when empty).
     min_ready: u64,
+    /// [`filter_bit`] of every resident line, possibly with extra bits
+    /// left by a merge's retire until the next sweep.
+    filter: u64,
     merges: u64,
     allocations: u64,
     full_stalls: u64,
@@ -55,6 +89,7 @@ impl Mshr {
             entries: Vec::with_capacity(capacity),
             capacity,
             min_ready: u64::MAX,
+            filter: 0,
             merges: 0,
             allocations: 0,
             full_stalls: 0,
@@ -62,65 +97,75 @@ impl Mshr {
         })
     }
 
-    /// Drop entries whose fills have completed by `cycle`, maintaining
-    /// the `min_ready` watermark over the survivors. Probes below the
-    /// watermark skip this entirely — nothing can have expired.
+    /// Drop entries whose fills have completed by `cycle`. Probes below
+    /// the watermark skip the sweep: nothing can have expired.
     #[inline]
     fn expire(&mut self, cycle: u64) {
-        if cycle < self.min_ready {
-            return;
+        if cycle >= self.min_ready {
+            self.sweep(cycle);
         }
-        let mut min = u64::MAX;
-        let mut i = 0;
-        while i < self.entries.len() {
-            let ready = self.entries[i].ready;
-            if ready <= cycle {
-                self.lines.swap_remove(i);
-                self.entries.swap_remove(i);
-            } else {
-                min = min.min(ready);
-                i += 1;
-            }
+    }
+
+    /// One branch-free pass: survivors (`ready > cycle`) slide down over
+    /// the expired entries, and the watermark and filter are rebuilt
+    /// from the survivors alone.
+    fn sweep(&mut self, cycle: u64) {
+        let n = self.entries.len();
+        let (lines, entries) = (&mut self.lines[..n], &mut self.entries[..n]);
+        let (mut kept, mut min, mut filter) = (0, u64::MAX, 0);
+        for read in 0..n {
+            let (line, e) = (lines[read], entries[read]);
+            lines[kept] = line;
+            entries[kept] = e;
+            let keep = e.ready > cycle;
+            kept += keep as usize;
+            min = min.min(if keep { e.ready } else { u64::MAX });
+            filter |= filter_bit(line) & (keep as u64).wrapping_neg();
         }
+        self.lines.truncate(kept);
+        self.entries.truncate(kept);
         self.min_ready = min;
+        self.filter = filter;
     }
 
     /// If `line` has an in-flight fill at `cycle`, merge with it and
     /// return its completion cycle. A demand merge on a prefetch-initiated
     /// entry marks the entry as demand (the prefetch was late but useful).
     ///
-    /// Expiry is lazy: the probe is a pure tag scan over the line words
-    /// (the hottest loop in the whole miss path, and branch-free enough
-    /// to vectorize), and a register is only retired when a probe to its
-    /// own line finds the fill already complete. Other completed entries
-    /// linger until the next [`allocate`](Self::allocate) or
-    /// [`in_flight`](Self::in_flight) sweeps them — a pure-capacity
-    /// concern, invisible to merge results, full-stall accounting, and
-    /// every counter.
+    /// A probe whose filter bit is clear returns at once. Otherwise the
+    /// probe is a tag scan over the line words; if the matching fill has
+    /// completed by `cycle`, that one register is retired (see the
+    /// module docs for why it is only that one).
     #[inline]
     pub fn merge(&mut self, line: LineAddr, cycle: u64, is_prefetch: bool) -> Option<u64> {
-        // Branchless whole-file scan: most probes find no match, and a
-        // scan without early exit vectorizes where `position` cannot.
-        // A line is never in flight twice, so keeping the last matching
-        // index is exact.
         let raw = line.raw();
+        if self.filter & filter_bit(raw) == 0 {
+            return None;
+        }
+        // Branchless whole-file scan: a scan without early exit
+        // vectorizes where `position` cannot. A line is never in flight
+        // twice, so keeping the last matching index is exact.
         let mut found = usize::MAX;
         for (i, &l) in self.lines.iter().enumerate() {
             if l == raw {
                 found = i;
             }
         }
-        if found == usize::MAX {
-            return None;
-        }
-        let i = found;
-        let e = &mut self.entries[i];
+        let e = self.entries.get_mut(found)?;
         if e.ready <= cycle {
             // The matched fill has completed: retire the stale register
             // (a block is never in flight twice, so this is the only
-            // entry a fresh miss to `line` could have merged with).
-            self.lines.swap_remove(i);
-            self.entries.swap_remove(i);
+            // entry a fresh miss to `line` could have merged with) and
+            // keep the watermark exact. Its filter bit may linger until
+            // the next sweep; the filter only has to be a superset.
+            self.lines.swap_remove(found);
+            self.entries.swap_remove(found);
+            self.min_ready = self
+                .entries
+                .iter()
+                .map(|e| e.ready)
+                .min()
+                .unwrap_or(u64::MAX);
             return None;
         }
         self.merges += 1;
@@ -145,21 +190,13 @@ impl Mshr {
         self.expire(cycle);
         let mut ready = ready;
         if self.entries.len() >= self.capacity {
-            // Every resident entry is unexpired here (the sweep above
-            // just ran), so the earliest in-flight completion comes from
-            // a direct scan — the lazily-maintained watermark can sit
-            // below it after a merge retired the entry it tracked.
-            let earliest = self
-                .entries
-                .iter()
-                .map(|e| e.ready)
-                .min()
-                .expect("full MSHR file is non-empty");
-            let delay = earliest.saturating_sub(cycle);
-            ready += delay;
+            // Every resident entry is unexpired at `cycle`, and the
+            // watermark is exact, so it is the earliest completion.
+            let earliest = self.min_ready;
+            ready += earliest.saturating_sub(cycle);
             self.full_stalls += 1;
             // Make room: the earliest entry has completed by `earliest`.
-            self.expire(earliest);
+            self.sweep(earliest);
         }
         debug_assert!(
             !self.lines.contains(&line.raw()),
@@ -169,6 +206,7 @@ impl Mshr {
         self.lines.push(line.raw());
         self.entries.push(Entry { ready, is_prefetch });
         self.min_ready = self.min_ready.min(ready);
+        self.filter |= filter_bit(line.raw());
         ready
     }
 
@@ -180,20 +218,14 @@ impl Mshr {
     /// follow-up `allocate` at the returned cycle, with the delay
     /// already added to its `ready`, lands in the exact state the inline
     /// path produces: the wakeup sweep frees the same entries
-    /// `allocate(cycle, …)` would have freed via `expire(earliest)`.
+    /// `allocate(cycle, …)` would have freed by sweeping at `earliest`.
     pub fn full_wakeup(&mut self, cycle: u64) -> Option<u64> {
         self.expire(cycle);
         if self.entries.len() < self.capacity {
             return None;
         }
         self.full_stalls += 1;
-        let earliest = self
-            .entries
-            .iter()
-            .map(|e| e.ready)
-            .min()
-            .expect("full MSHR file is non-empty");
-        Some(earliest)
+        Some(self.min_ready)
     }
 
     /// Outstanding (unexpired) entries at `cycle`.

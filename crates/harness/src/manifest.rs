@@ -21,9 +21,9 @@
 //!
 //! * a **torn trailing line** (no newline) is dropped and truncated
 //!   away so future appends start on a clean boundary;
-//! * a **corrupt interior line** (checksum mismatch, bad JSON, an old
-//!   `v:1` record) is *skipped and logged* — its job re-executes and a
-//!   fresh record is appended;
+//! * a **corrupt interior line** (checksum mismatch, bad JSON, bytes
+//!   that are not UTF-8, an old `v:1` record) is *skipped and logged* —
+//!   its job re-executes and a fresh record is appended;
 //! * a **duplicate key** (a `--retry-failed` resume re-ran a job whose
 //!   failed record stays in the file) resolves **last-writer-wins**,
 //!   making record replay idempotent.
@@ -344,28 +344,35 @@ impl Manifest {
             .truncate(!resume)
             .open(&path)?;
 
-        let mut text = String::new();
-        file.read_to_string(&mut text)?;
+        // Bytes, not a `String`: a line that is not UTF-8 (bit rot, a
+        // torn multi-byte write) is one corrupt record, not a failed open.
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
 
         let mut records: Vec<Record> = Vec::new();
         let mut index: HashMap<String, usize> = HashMap::new();
         let mut recovery = Recovery::default();
         let mut complete_end = 0u64;
         let mut offset = 0u64;
-        for segment in text.split_inclusive('\n') {
+        for segment in bytes.split_inclusive(|&b| b == b'\n') {
             offset += segment.len() as u64;
-            if !segment.ends_with('\n') {
+            let Some(mut line) = segment.strip_suffix(b"\n") else {
                 // Torn trailing line: the process died mid-write. Drop
                 // it; its job re-executes.
                 recovery.torn_tail = true;
                 break;
-            }
+            };
             complete_end = offset;
-            let line = segment.trim_end_matches(['\n', '\r']);
+            while let Some(rest) = line.strip_suffix(b"\r") {
+                line = rest;
+            }
             if line.is_empty() {
                 continue;
             }
-            match Record::from_json_line(line) {
+            let parsed = std::str::from_utf8(line)
+                .map_err(|e| e.to_string())
+                .and_then(Record::from_json_line);
+            match parsed {
                 Ok(r) => match index.get(&r.key) {
                     Some(&i) => {
                         records[i] = r;
@@ -842,6 +849,44 @@ mod tests {
         // good suffix. They are skipped again on every load.
         let text = std::fs::read_to_string(&tmp.0).unwrap();
         assert!(text.starts_with("garbage\n"));
+    }
+
+    #[test]
+    fn non_utf8_line_is_one_corrupt_record_and_its_job_reruns() {
+        let tmp = temp_manifest("non-utf8");
+        let line = |i: u64| record(&format!("job{i}"), "ok", Some(i as f64)).to_json_line();
+        // job1's record is lost to a line that is not UTF-8.
+        let mut bytes = format!("{}\n", line(0)).into_bytes();
+        bytes.extend_from_slice(b"\xff garbage\n");
+        bytes.extend_from_slice(format!("{}\n", line(2)).as_bytes());
+        std::fs::write(&tmp.0, &bytes).unwrap();
+
+        let mut m = Manifest::open(&tmp.0, true).expect("damage never fails the open");
+        assert_eq!(m.len(), 2, "every intact record loads");
+        assert!(m.contains("job0") && m.contains("job2"));
+        assert_eq!(m.recovery().corrupt, 1);
+        assert!(!m.recovery().torn_tail);
+
+        let progress = Progress::new();
+        let jobs: Vec<(String, u64)> = (0..3).map(|i| (format!("job{i}"), i)).collect();
+        let run = |_k: &str, i: &u64, _ctx: &JobCtx| Ok(Metrics::from([("x", *i as f64)]));
+        let out = run_with_manifest_opts(
+            &Scheduler::new(1),
+            &progress,
+            &mut m,
+            &jobs,
+            run,
+            SweepOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(
+            (out.executed, out.resumed),
+            (1, 2),
+            "only the lost job runs"
+        );
+        assert_eq!(out.records[1].key, "job1");
+        let snap = progress.snapshot();
+        assert_eq!(snap.counter_value("harness.corrupt_records"), Some(1));
     }
 
     #[test]

@@ -10,6 +10,15 @@
 //! [`MAX_DEGREE`](crate::MAX_DEGREE) yields its lowest lines: the
 //! candidates are emitted in ascending line order and the list stops
 //! when it is full.
+//!
+//! A full active table evicts its least recently touched region. The
+//! recency order is a queue of `(stamp, region)` touches in stamp order;
+//! a touch is live while its stamp is still its region's latest, so the
+//! first live touch names the victim. Stale touches are popped on the
+//! way to it or dropped by a compaction once 512 touches are queued,
+//! so each touch costs amortised O(1).
+
+use std::collections::VecDeque;
 
 use atc_types::{FastMap, LineAddr};
 
@@ -21,6 +30,9 @@ const REGION_LINES: u64 = 64;
 const ACTIVE_CAP: usize = 128;
 /// Stored footprints per event table.
 const HISTORY_CAP: usize = 8192;
+/// Touches queued before stale ones are compacted away: at most
+/// [`ACTIVE_CAP`] survive, so a compaction frees three quarters.
+const ORDER_CAP: usize = 4 * ACTIVE_CAP;
 
 #[derive(Debug, Clone)]
 struct ActiveRegion {
@@ -34,6 +46,8 @@ struct ActiveRegion {
 #[derive(Debug)]
 pub struct Bingo {
     active: FastMap<u64, ActiveRegion>,
+    /// `(stamp, region)` per touch of an active region, oldest first.
+    order: VecDeque<(u64, u64)>,
     /// Long event: (ip, region) → footprint.
     by_ip_addr: FastMap<(u64, u64), u64>,
     /// Short event: (ip, offset) → footprint.
@@ -46,10 +60,35 @@ impl Bingo {
     pub fn new() -> Self {
         Bingo {
             active: FastMap::default(),
+            order: VecDeque::with_capacity(ORDER_CAP),
             by_ip_addr: FastMap::default(),
             by_ip_offset: FastMap::default(),
             clock: 0,
         }
+    }
+
+    /// Whether `(stamp, region)` is its region's latest touch.
+    fn is_live(active: &FastMap<u64, ActiveRegion>, (stamp, region): (u64, u64)) -> bool {
+        active.get(&region).is_some_and(|r| r.lru == stamp)
+    }
+
+    /// Queue a touch of `region` at the current clock.
+    fn touch(&mut self, region: u64) {
+        if self.order.len() >= ORDER_CAP {
+            let active = &self.active;
+            self.order.retain(|&t| Self::is_live(active, t));
+        }
+        self.order.push_back((self.clock, region));
+    }
+
+    /// Remove and return the least recently touched active region.
+    fn pop_oldest(&mut self) -> Option<(u64, ActiveRegion)> {
+        while let Some(t) = self.order.pop_front() {
+            if Self::is_live(&self.active, t) {
+                return self.active.remove(&t.1).map(|r| (t.1, r));
+            }
+        }
+        None
     }
 
     fn retire_region(&mut self, region: u64, r: ActiveRegion) {
@@ -85,21 +124,19 @@ impl Prefetcher for Bingo {
             // Accumulate the footprint; no new prediction mid-region.
             r.footprint |= 1 << offset;
             r.lru = self.clock;
+            self.touch(region);
             return Candidates::new();
         }
 
-        // Region (re-)entered: evict the oldest active region if full
-        // (`lru` is a unique clock value, so the minimum is unique and
-        // independent of the map's iteration order).
+        // Region (re-)entered: evict the least recently touched active
+        // region if full (`lru` is a unique clock value, so the victim
+        // is unique).
         if self.active.len() >= ACTIVE_CAP {
-            let (&oldest, _) = self
-                .active
-                .iter()
-                .min_by_key(|(_, r)| r.lru)
-                .expect("non-empty");
-            let r = self.active.remove(&oldest).expect("present");
-            self.retire_region(oldest, r);
+            if let Some((oldest, r)) = self.pop_oldest() {
+                self.retire_region(oldest, r);
+            }
         }
+        self.touch(region);
         self.active.insert(
             region,
             ActiveRegion {

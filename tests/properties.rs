@@ -433,6 +433,208 @@ fn mshr_never_leaks_entries_over_random_fill_drain_cycles() {
     }
 }
 
+/// An independent reference MSHR file: the model as it stood before the
+/// compacting sweep. One `Vec` of `(line, ready, is_prefetch)` in
+/// register order, swept with `swap_remove` behind a watermark that a
+/// merge's retire may leave low, the earliest fill found by a scan. It
+/// counts the events the comparison must exercise.
+struct RefMshr {
+    regs: Vec<(u64, u64, bool)>,
+    capacity: usize,
+    min_ready: u64,
+    merges: u64,
+    allocations: u64,
+    full_stalls: u64,
+    prefetch_useful: u64,
+    stale_retires: u64,
+}
+
+impl RefMshr {
+    fn new(capacity: usize) -> Self {
+        RefMshr {
+            regs: Vec::new(),
+            capacity,
+            min_ready: u64::MAX,
+            merges: 0,
+            allocations: 0,
+            full_stalls: 0,
+            prefetch_useful: 0,
+            stale_retires: 0,
+        }
+    }
+
+    fn expire(&mut self, cycle: u64) {
+        if cycle < self.min_ready {
+            return;
+        }
+        let (mut i, mut min) = (0, u64::MAX);
+        while i < self.regs.len() {
+            if self.regs[i].1 <= cycle {
+                self.regs.swap_remove(i);
+            } else {
+                min = min.min(self.regs[i].1);
+                i += 1;
+            }
+        }
+        self.min_ready = min;
+    }
+
+    fn earliest(&self) -> u64 {
+        self.regs.iter().map(|r| r.1).min().unwrap()
+    }
+
+    fn merge(&mut self, line: u64, cycle: u64, pf: bool) -> Option<u64> {
+        let i = self.regs.iter().position(|r| r.0 == line)?;
+        if self.regs[i].1 <= cycle {
+            self.regs.swap_remove(i);
+            self.stale_retires += 1;
+            return None;
+        }
+        self.merges += 1;
+        let r = &mut self.regs[i];
+        if !pf && r.2 {
+            self.prefetch_useful += 1;
+            r.2 = false;
+        }
+        Some(r.1)
+    }
+
+    fn allocate(&mut self, line: u64, cycle: u64, ready: u64, pf: bool) -> u64 {
+        self.expire(cycle);
+        let mut ready = ready;
+        if self.regs.len() >= self.capacity {
+            let earliest = self.earliest();
+            ready += earliest.saturating_sub(cycle);
+            self.full_stalls += 1;
+            self.expire(earliest);
+        }
+        self.allocations += 1;
+        self.regs.push((line, ready, pf));
+        self.min_ready = self.min_ready.min(ready);
+        ready
+    }
+
+    fn full_wakeup(&mut self, cycle: u64) -> Option<u64> {
+        self.expire(cycle);
+        if self.regs.len() < self.capacity {
+            return None;
+        }
+        self.full_stalls += 1;
+        Some(self.earliest())
+    }
+
+    fn in_flight(&mut self, cycle: u64) -> usize {
+        self.expire(cycle);
+        self.regs.len()
+    }
+
+    fn outstanding_at(&self, cycle: u64) -> usize {
+        self.regs.iter().filter(|r| r.1 > cycle).count()
+    }
+}
+
+#[test]
+fn mshr_matches_reference_model() {
+    // Call cycles wander back and forth around a slowly advancing clock,
+    // as walks and prefetches probe ahead of the next dispatch, so when
+    // an entry is swept is observable. A small line pool makes merges,
+    // retires of completed fills and full stalls common; its lines are
+    // random 40-bit words, so some share a presence-filter bit.
+    let (mut merges, mut retires, mut stalls, mut wakeups, mut useful) = (0, 0, 0, 0, 0);
+    for case in 0..CASES {
+        let mut rng = rng_for(15, case);
+        let capacity = [1, 2, 16][case as usize % 3];
+        let pool: Vec<u64> = (0..capacity + 3).map(|_| rng.next_below(1 << 40)).collect();
+        let mut m = Mshr::new(capacity).expect("valid capacity");
+        let mut reference = RefMshr::new(capacity);
+        let mut now = 0u64;
+        for step in 0..rand_len(&mut rng, 300, 1200) {
+            let cycle = now + rng.next_below(256);
+            let line = pool[rng.next_below(pool.len() as u64) as usize];
+            let pf = rng.chance(0.3);
+            let what = match rng.next_below(10) {
+                0..=3 => {
+                    // One access: merge first, allocate on a miss.
+                    let got = m.merge(LineAddr::new(line), cycle, pf);
+                    assert_eq!(
+                        got,
+                        reference.merge(line, cycle, pf),
+                        "case {case} step {step}"
+                    );
+                    if got.is_none() {
+                        let ready = cycle + 1 + rng.next_below(128);
+                        assert_eq!(
+                            m.allocate(LineAddr::new(line), cycle, ready, pf),
+                            reference.allocate(line, cycle, ready, pf),
+                            "case {case} step {step}: allocate"
+                        );
+                    }
+                    "access"
+                }
+                4 | 5 => {
+                    let got = m.merge(LineAddr::new(line), cycle, pf);
+                    assert_eq!(
+                        got,
+                        reference.merge(line, cycle, pf),
+                        "case {case} step {step}"
+                    );
+                    "merge"
+                }
+                6 => {
+                    let got = m.in_flight(cycle);
+                    assert_eq!(got, reference.in_flight(cycle), "case {case} step {step}");
+                    "in_flight"
+                }
+                7 => {
+                    let got = m.full_wakeup(cycle);
+                    assert_eq!(got, reference.full_wakeup(cycle), "case {case} step {step}");
+                    wakeups += u64::from(got.is_some());
+                    "full_wakeup"
+                }
+                _ => {
+                    now += rng.next_below(48);
+                    "advance"
+                }
+            };
+            for probe in [cycle, now, now + 96] {
+                assert_eq!(
+                    m.outstanding_at(probe),
+                    reference.outstanding_at(probe),
+                    "case {case} step {step} after {what}: outstanding_at({probe})"
+                );
+            }
+            let counters = (
+                m.merges(),
+                m.allocations(),
+                m.full_stalls(),
+                m.prefetch_useful_merges(),
+            );
+            let want = (
+                reference.merges,
+                reference.allocations,
+                reference.full_stalls,
+                reference.prefetch_useful,
+            );
+            assert_eq!(
+                counters, want,
+                "case {case} step {step} after {what}: counters"
+            );
+        }
+        merges += reference.merges;
+        retires += reference.stale_retires;
+        stalls += reference.full_stalls;
+        useful += reference.prefetch_useful;
+    }
+    assert!(merges > 1000, "merges barely exercised: {merges}");
+    assert!(retires > 100, "stale retires barely exercised: {retires}");
+    assert!(stalls > 1000, "full stalls barely exercised: {stalls}");
+    assert!(wakeups > 500, "full wakeups barely exercised: {wakeups}");
+    assert!(
+        useful > 100,
+        "late-but-useful prefetches barely exercised: {useful}"
+    );
+}
+
 #[test]
 fn drrip_victims_in_range_and_psel_bounded() {
     for case in 0..CASES {
@@ -641,6 +843,111 @@ fn spp_matches_reference_model() {
         "best-delta ties barely exercised: {tied_best}"
     );
     assert!(page_clears > 0, "page-table clear never exercised");
+}
+
+/// An independent reference Bingo: the model as first written, on `std`
+/// SipHash maps, evicting the least recently touched active region by a
+/// scan over all of them. It counts evictions and history predictions.
+#[derive(Default)]
+struct RefBingo {
+    /// region → (trigger ip, trigger offset, footprint, last touch).
+    active: HashMap<u64, (u64, u64, u64, u64)>,
+    by_ip_addr: HashMap<(u64, u64), u64>,
+    by_ip_offset: HashMap<(u64, u64), u64>,
+    clock: u64,
+    evictions: u64,
+    predictions: u64,
+    history_clears: u64,
+}
+
+impl RefBingo {
+    fn on_access(&mut self, ip: u64, line: u64) -> Vec<PrefetchRequest> {
+        self.clock += 1;
+        let (region, offset) = (line / 64, line % 64);
+        if let Some(r) = self.active.get_mut(&region) {
+            r.2 |= 1 << offset;
+            r.3 = self.clock;
+            return Vec::new();
+        }
+        if self.active.len() >= 128 {
+            let (&oldest, _) = self.active.iter().min_by_key(|(_, r)| r.3).unwrap();
+            let (tip, toff, footprint, _) = self.active.remove(&oldest).unwrap();
+            for table in [&mut self.by_ip_addr, &mut self.by_ip_offset] {
+                if table.len() >= 8192 {
+                    table.clear();
+                    self.history_clears += 1;
+                }
+            }
+            self.by_ip_addr.insert((tip, oldest), footprint);
+            self.by_ip_offset.insert((tip, toff), footprint);
+            self.evictions += 1;
+        }
+        self.active
+            .insert(region, (ip, offset, 1 << offset, self.clock));
+        let footprint = self
+            .by_ip_addr
+            .get(&(ip, region))
+            .or_else(|| self.by_ip_offset.get(&(ip, offset)))
+            .copied()
+            .unwrap_or(0);
+        self.predictions += u64::from(footprint != 0);
+        (0..64)
+            .filter(|&b| b != offset && footprint >> b & 1 == 1)
+            .take(4)
+            .map(|b| PrefetchRequest::Phys(LineAddr::new(region * 64 + b)))
+            .collect()
+    }
+}
+
+#[test]
+fn bingo_matches_reference_model() {
+    let (mut emitted, mut evictions, mut predictions, mut clears) = (0, 0, 0, 0);
+    for case in 0..CASES {
+        let mut rng = rng_for(16, case);
+        let mut bingo = atc_prefetch::Bingo::new();
+        let mut reference = RefBingo::default();
+        // A few hundred regions, each visited in bursts: more than the
+        // 128 active regions, so the table evicts and re-entered
+        // regions replay their footprints. Every eighth case is long
+        // and draws from enough regions to clear the history table.
+        let (regions, n) = if case % 8 == 7 {
+            (1 << 20, 45_000)
+        } else {
+            (150 + rng.next_below(300), rand_len(&mut rng, 2000, 9000))
+        };
+        let mut i = 0;
+        while i < n {
+            let region = rng.next_below(regions);
+            let ip = 1 + rng.next_below(6);
+            for _ in 0..rand_len(&mut rng, 1, 8) {
+                let line = region * 64 + rng.next_below(16) * (1 + ip % 3);
+                let ctx = PrefetchContext {
+                    ip,
+                    line: LineAddr::new(line),
+                    vaddr: VirtAddr::new(line << 6),
+                    hit: false,
+                };
+                let want = reference.on_access(ip, line);
+                let got = bingo.on_access(&ctx);
+                assert_eq!(&*got, &want[..], "case {case} access {i} line {line}");
+                emitted += want.len();
+                i += 1;
+            }
+        }
+        evictions += reference.evictions;
+        predictions += reference.predictions;
+        clears += reference.history_clears;
+    }
+    assert!(emitted > 100_000, "streams too quiet: {emitted} candidates");
+    assert!(
+        evictions > 50_000,
+        "evictions barely exercised: {evictions}"
+    );
+    assert!(
+        predictions > 50_000,
+        "predictions barely exercised: {predictions}"
+    );
+    assert!(clears > 0, "history-table clear never exercised");
 }
 
 #[test]
